@@ -200,28 +200,51 @@ class JsonReport {
 
 /// Min-of-K wall-clock timing with warm-up: run the workload `warmup`
 /// times untimed (populate allocator pools, fault in pages, settle the
-/// scheduler), then report the fastest of `reps` timed runs. The minimum
+/// scheduler), then report the fastest of the timed runs. The minimum
 /// — not the mean — is the estimator: wall-clock noise on a shared box is
 /// strictly additive, so the fastest observation is the closest to the
-/// true cost. Every wall-clock number a bench reports (trace-overhead
-/// guard, threaded-fleet scaling) goes through this one helper so the
-/// methodology cannot drift between benches. Wall-clock keys are never
-/// golden-diffed — they measure the machine, not the simulator.
+/// true cost. The timed runs continue until there are at least `reps` of
+/// them AND they add up to at least `kMinBudgetS` (20 ms) of wall time: a
+/// microsecond-scale rep taken only five times can have every rep land
+/// in the same host stall, while ~20 ms of reps spans many scheduler
+/// quanta. Every wall-clock number a bench reports (trace-overhead
+/// guard, threaded-fleet scaling, the microbench us/op keys) goes through
+/// this one helper so the methodology cannot drift between benches.
+/// Wall-clock keys are never golden-diffed exactly — they measure the
+/// machine, not the simulator.
 class WallClockTimer {
  public:
+  /// Least total timed wall time the reps must add up to.
+  static constexpr double kMinBudgetS = 0.02;
+
   explicit WallClockTimer(int reps = 5, int warmup = 1)
       : reps_(reps < 1 ? 1 : reps), warmup_(warmup < 0 ? 0 : warmup) {}
 
   /// Fastest observed wall-clock seconds of `fn()` across the timed reps.
   template <typename Fn>
   double min_seconds(Fn&& fn) const {
-    for (int i = 0; i < warmup_; ++i) fn();
+    return min_seconds([] {}, fn);
+  }
+
+  /// Same, with `setup()` run untimed before every rep (warm-ups
+  /// included) — for workloads that consume their input, like draining a
+  /// freshly built tree.
+  template <typename Setup, typename Fn>
+  double min_seconds(Setup&& setup, Fn&& fn) const {
+    for (int i = 0; i < warmup_; ++i) {
+      setup();
+      fn();
+    }
     double best = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < reps_; ++i) {
+    double timed = 0.0;
+    for (int i = 0; i < reps_ || timed < kMinBudgetS; ++i) {
+      setup();
       const auto t0 = std::chrono::steady_clock::now();
       fn();
       const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+      const double s = std::chrono::duration<double>(t1 - t0).count();
+      best = std::min(best, s);
+      timed += s;
     }
     return best;
   }

@@ -280,17 +280,18 @@ void bench_evict_batch(const bench::BenchOptions& opt,
     return tree;
   };
 
+  cache::RadixTree tree(kBlock);
   std::size_t nodes = 0, evicted = 0;
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 5; ++rep) {
-    cache::RadixTree tree = build();
-    nodes = tree.num_blocks();
-    const auto t0 = std::chrono::steady_clock::now();
-    evicted = tree.evict_lru(nodes);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (evicted != nodes) fail("evict_batch failed to drain the tree");
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
+  const bench::WallClockTimer timer(5, 0);
+  const double best = timer.min_seconds(
+      [&] {
+        tree = build();
+        nodes = tree.num_blocks();
+      },
+      [&] {
+        evicted = tree.evict_lru(nodes);
+        if (evicted != nodes) fail("evict_batch failed to drain the tree");
+      });
   const double us_per_block = best / static_cast<double>(nodes) * 1e6;
 
   std::printf("evict_batch: drained %zu blocks in one call, %.4f us/block\n\n",
@@ -315,26 +316,59 @@ void bench_alloc_steadystate(const bench::BenchOptions& opt,
   for (std::size_t i = 0; i < kPrompts; ++i)
     prompts.push_back(random_tokens(rng, kBlock * kBlocksPerPrompt));
 
-  // Cache-level churn: capacity-limited, every pass evicts and re-inserts.
-  cache::PrefixCache pc(cache::CacheConfig{kBlock, kCapacityBlocks, true});
-  const auto pass = [&] {
-    for (const auto& p : prompts) {
-      auto lease = pc.lookup(p);
-      pc.admit(p, lease);
-      pc.release(lease);
-    }
-  };
-  const std::uint64_t before_warm = g_allocs.load(std::memory_order_relaxed);
-  pass();
-  pass();  // two warm-up passes: pools, slabs, scratch all reach high water
-  const std::uint64_t warmup_allocs =
-      g_allocs.load(std::memory_order_relaxed) - before_warm;
+  // Cache-level churn: capacity-limited, every pass evicts (or demotes)
+  // and re-inserts. Returns {warm-up, steady-state} allocation counts.
   constexpr int kSteadyPasses = 3;
-  const std::uint64_t before_steady = g_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < kSteadyPasses; ++i) pass();
-  const std::uint64_t steady_allocs =
-      g_allocs.load(std::memory_order_relaxed) - before_steady;
+  const auto churn = [&](const cache::CacheConfig& config) {
+    cache::PrefixCache pc(config);
+    const auto pass = [&] {
+      for (const auto& p : prompts) {
+        auto lease = pc.lookup(p);
+        pc.admit(p, lease);
+        pc.release(lease);
+      }
+    };
+    // Three warm-up passes: pools, slabs, scratch all reach high water. A
+    // striped cache needs the third — each stripe's node free list only
+    // peaks once churn has cycled through every stripe.
+    const std::uint64_t before_warm = g_allocs.load(std::memory_order_relaxed);
+    for (int i = 0; i < 3; ++i) pass();
+    const std::uint64_t before_steady =
+        g_allocs.load(std::memory_order_relaxed);
+    const cache::CacheStats warm = pc.stats();
+    for (int i = 0; i < kSteadyPasses; ++i) pass();
+    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    // The audit only means something if the steady passes really churn:
+    // the bottom tier must destroy blocks, and a tiered GPU must demote.
+    const cache::CacheStats steady = pc.stats() - warm;
+    if (steady.evicted_blocks == 0 ||
+        (config.tiers > 1 && steady.demoted_blocks == 0))
+      fail("alloc_steadystate churn did not evict, or a tier did not demote");
+    return std::pair<std::size_t, std::size_t>(before_steady - before_warm,
+                                               after - before_steady);
+  };
+  // Host and disk tiers are bounded too, so tiered churn cascades down to
+  // bottom-tier eviction.
+  const auto config = [&](std::size_t tiers, std::size_t stripes) {
+    cache::CacheConfig c{kBlock, kCapacityBlocks, true};
+    c.lock_stripes = stripes;
+    c.tiers = tiers;
+    c.host_capacity_blocks = kCapacityBlocks / 2;
+    c.disk_capacity_blocks = kCapacityBlocks / 4;
+    return c;
+  };
+  const auto [warmup_allocs, steady_allocs] = churn(config(1, 0));
+  const std::size_t tiers2_allocs = churn(config(2, 0)).second;
+  const std::size_t tiers3_allocs = churn(config(3, 0)).second;
+  const std::size_t striped_flat_allocs = churn(config(1, 4)).second;
+  const std::size_t striped_tiered_allocs = churn(config(3, 4)).second;
   if (steady_allocs != 0) fail("steady-state cache churn allocated");
+  if (tiers2_allocs != 0) fail("steady-state 2-tier cache churn allocated");
+  if (tiers3_allocs != 0) fail("steady-state 3-tier cache churn allocated");
+  if (striped_flat_allocs != 0)
+    fail("steady-state 4-stripe flat cache churn allocated");
+  if (striped_tiered_allocs != 0)
+    fail("steady-state 4-stripe tiered cache churn allocated");
 
   // Tree-level churn: node slots must stay flat once warm (satellite:
   // recycled slots reuse their storage instead of re-growing it).
@@ -351,16 +385,22 @@ void bench_alloc_steadystate(const bench::BenchOptions& opt,
   const std::size_t slots_delta = tree.node_slots() - slots_warm;
   if (slots_delta != 0) fail("steady-state tree churn carved new node slots");
 
-  std::printf("alloc_steadystate: warmup_allocs=%llu steady_allocs=%llu "
-              "node_slots_delta=%zu (over %d churn passes)\n\n",
-              static_cast<unsigned long long>(warmup_allocs),
-              static_cast<unsigned long long>(steady_allocs), slots_delta,
-              kSteadyPasses);
+  std::printf("alloc_steadystate: warmup_allocs=%zu steady_allocs=%zu "
+              "node_slots_delta=%zu (over %d churn passes); steady allocs "
+              "2-tier=%zu 3-tier=%zu 4-stripe flat=%zu 4-stripe tiered=%zu"
+              "\n\n",
+              warmup_allocs, steady_allocs, slots_delta, kSteadyPasses,
+              tiers2_allocs, tiers3_allocs, striped_flat_allocs,
+              striped_tiered_allocs);
   json.add("alloc_steadystate",
            {{"steady_passes", static_cast<std::size_t>(kSteadyPasses)},
-            {"warmup_allocs", static_cast<std::size_t>(warmup_allocs)},
-            {"steady_allocs", static_cast<std::size_t>(steady_allocs)},
-            {"node_slots_delta", slots_delta}});
+            {"warmup_allocs", warmup_allocs},
+            {"steady_allocs", steady_allocs},
+            {"node_slots_delta", slots_delta},
+            {"steady_allocs_tiers2", tiers2_allocs},
+            {"steady_allocs_tiers3", tiers3_allocs},
+            {"steady_allocs_striped_flat", striped_flat_allocs},
+            {"steady_allocs_striped_tiered", striped_tiered_allocs}});
 }
 
 }  // namespace

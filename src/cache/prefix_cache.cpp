@@ -1,6 +1,8 @@
 #include "cache/prefix_cache.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "util/token_ops.hpp"
 
@@ -38,8 +40,9 @@ CacheStats& CacheStats::operator-=(const CacheStats& o) {
 
 PrefixCache::PrefixCache(CacheConfig config)
     : config_(config), pool_(config.capacity_blocks) {
-  if (config_.tiers < 1) config_.tiers = 1;
-  if (config_.tiers > 3) config_.tiers = 3;
+  if (config_.tiers < 1 || config_.tiers > 3)
+    throw std::invalid_argument("PrefixCache: tiers must be 1, 2 or 3, got " +
+                                std::to_string(config_.tiers));
   const std::size_t n_trees =
       config_.lock_stripes > 0 ? config_.lock_stripes : 1;
   trees_.reserve(n_trees);
@@ -72,17 +75,6 @@ std::unique_lock<std::mutex> PrefixCache::lock_stripe(std::uint32_t s) const {
 std::unique_lock<std::mutex> PrefixCache::lock_acct() const {
   if (!locks_) return std::unique_lock<std::mutex>();
   return std::unique_lock<std::mutex>(locks_->acct_mu);
-}
-
-std::vector<std::unique_lock<std::mutex>> PrefixCache::lock_all_stripes()
-    const {
-  std::vector<std::unique_lock<std::mutex>> held;
-  if (!locks_) return held;
-  held.reserve(locks_->stripe_mu.size());
-  // Ascending index — the fixed stripe-lock order that makes multi-stripe
-  // acquisition deadlock-free against every other path.
-  for (std::mutex& m : locks_->stripe_mu) held.emplace_back(m);
-  return held;
 }
 
 CacheStats PrefixCache::stats() const {
@@ -156,8 +148,7 @@ CacheLease PrefixCache::lookup(std::span<const TokenId> prompt) {
   const std::uint32_t s = stripe_of(prompt);
   // Tiered lookups can demote blocks in any stripe to make promotion
   // room, so they take the full lock set; flat lookups stay one-stripe.
-  auto all = tiered() ? lock_all_stripes()
-                      : std::vector<std::unique_lock<std::mutex>>{};
+  auto all = lock_all_stripes(tiered());
   auto stripe = tiered() ? std::unique_lock<std::mutex>() : lock_stripe(s);
   auto acct = lock_acct();
   ++clock_;
@@ -175,8 +166,7 @@ CacheLease PrefixCache::lookup(std::span<const TokenId> prompt) {
 
 CacheLease PrefixCache::resume_lookup(std::span<const TokenId> prompt) {
   const std::uint32_t s = stripe_of(prompt);
-  auto all = tiered() ? lock_all_stripes()
-                      : std::vector<std::unique_lock<std::mutex>>{};
+  auto all = lock_all_stripes(tiered());
   auto stripe = tiered() ? std::unique_lock<std::mutex>() : lock_stripe(s);
   auto acct = lock_acct();
   ++clock_;
@@ -235,38 +225,16 @@ std::size_t PrefixCache::admit_insert(RadixTree& tree, std::uint32_t stripe,
 std::size_t PrefixCache::admit(std::span<const TokenId> prompt,
                                CacheLease& lease) {
   if (!config_.enabled) return 0;
+  const std::uint32_t s = stripe_of(prompt);
 
   if (tiered()) {
-    const std::uint32_t s = stripe_of(prompt);
     auto all = lock_all_stripes();
     auto acct = lock_acct();
     ++clock_;
     return admit_tiered_locked(trees_[s], s, prompt, lease);
   }
 
-  if (!locks_) {
-    // Single-threaded path: one tree, no locks — behavior is the
-    // original unstriped sequence verbatim.
-    ++clock_;
-    const std::size_t full_blocks = prompt.size() / config_.block_size;
-    const std::size_t have = lease.path.size();
-    std::size_t need = full_blocks > have ? full_blocks - have : 0;
-
-    // Make room: evict LRU unpinned leaves; accept a shorter insert if
-    // the pool cannot satisfy the full request (everything pinned).
-    if (!pool_.unlimited() && need > pool_.free()) {
-      const std::size_t shortfall = need - pool_.free();
-      const std::size_t evicted = trees_[0].evict_lru(shortfall);
-      stats_.evicted_blocks += evicted;
-      pool_.release(evicted);
-      need = std::min(need, pool_.free());
-      if (evicted > 0) trace(EventKind::CacheEvict, evicted, 0, 0);
-    }
-    return admit_insert(trees_[0], 0, prompt, lease, need);
-  }
-
-  const std::uint32_t s = stripe_of(prompt);
-  {
+  if (locks_) {
     // Fast path: no eviction needed — one stripe plus accounting.
     auto stripe = lock_stripe(s);
     auto acct = lock_acct();
@@ -278,7 +246,8 @@ std::size_t PrefixCache::admit(std::span<const TokenId> prompt,
       return admit_insert(trees_[s], s, prompt, lease, need);
   }
 
-  // Slow path: eviction may take victims from any stripe, so drop the
+  // Slow path (and the whole single-threaded path, where every lock is a
+  // no-op): eviction may take victims from any stripe, so drop the
   // single-stripe locks and retake every stripe in ascending order (the
   // global lock order), then redo the sizing math — the world may have
   // changed in the window. The clock is bumped again under the new
@@ -292,87 +261,86 @@ std::size_t PrefixCache::admit(std::span<const TokenId> prompt,
   const std::size_t full_blocks = prompt.size() / config_.block_size;
   const std::size_t have = lease.path.size();
   std::size_t need = full_blocks > have ? full_blocks - have : 0;
+  // Make room: evict LRU unpinned leaves; accept a shorter insert if the
+  // pool cannot satisfy the full request (everything pinned).
   if (!pool_.unlimited() && need > pool_.free()) {
-    const std::size_t shortfall = need - pool_.free();
-    const std::size_t evicted = evict_blocks_locked(shortfall);
-    stats_.evicted_blocks += evicted;
-    pool_.release(evicted);
+    evict_locked(0, need - pool_.free());
     need = std::min(need, pool_.free());
-    if (evicted > 0) trace(EventKind::CacheEvict, evicted, 0, 0);
   }
   return admit_insert(trees_[s], s, prompt, lease, need);
-}
-
-std::size_t PrefixCache::evict_blocks_locked(std::size_t n) {
-  if (trees_.size() == 1) return trees_[0].evict_lru(n);
-  // Sharded LRU: each eviction takes the globally oldest unpinned leaf.
-  // Clock stamps are globally unique (every op advances clock_ exactly
-  // while holding the accounting mutex), so per-tree lru_age() values
-  // never tie and the victim sequence is exactly what one merged tree
-  // would produce. Ties on UINT64_MAX mean "nothing evictable" and break
-  // the loop; the index tiebreak (strict <) is unreachable but keeps the
-  // scan deterministic by construction.
-  std::size_t evicted = 0;
-  while (evicted < n) {
-    std::size_t best = trees_.size();
-    std::uint64_t best_age = UINT64_MAX;
-    for (std::size_t i = 0; i < trees_.size(); ++i) {
-      const std::uint64_t age = trees_[i].lru_age();
-      if (age < best_age) {
-        best_age = age;
-        best = i;
-      }
-    }
-    if (best == trees_.size()) break;  // every block pinned or interior
-    evicted += trees_[best].evict_lru(1);
-  }
-  return evicted;
 }
 
 std::size_t PrefixCache::evict(std::size_t n) {
   auto all = lock_all_stripes();
   auto acct = lock_acct();
-  if (tiered()) {
-    // The engine wants GPU headroom; cold blocks step down a tier and
-    // stay servable instead of dying. Bottom-tier overflow is destroyed
-    // inside the rebalance (that is where evicted_blocks grows).
-    return demote_gpu_locked(n);
+  // Tiered: the engine wants GPU headroom; cold blocks step down a tier
+  // and stay servable instead of dying. Bottom-tier overflow is
+  // destroyed inside the rebalance (that is where evicted_blocks grows).
+  return tiered() ? demote_gpu_locked(n) : evict_locked(0, n);
+}
+
+// ---- Victim machinery (all pre: every stripe mutex + acct held). ----
+
+std::size_t PrefixCache::take_victims_locked(RadixTree::VictimKind kind,
+                                             std::uint8_t tier,
+                                             std::size_t n) {
+  if (n == 0) return 0;
+  for (RadixTree& tree : trees_) tree.victims_begin(kind, tier);
+  // Each take is the globally oldest victim across stripes. Clock stamps
+  // are globally unique (every op advances clock_ exactly while holding
+  // the accounting mutex, and stamps one tree), so heap tops never tie
+  // and the victim sequence is exactly what one merged tree would
+  // produce. UINT64_MAX means "no victim left"; the strict < (lowest
+  // stripe wins a tie) keeps the merge deterministic by construction.
+  std::size_t taken = 0;
+  for (; taken < n; ++taken) {
+    RadixTree* best = nullptr;
+    std::uint64_t best_age = UINT64_MAX;
+    for (RadixTree& tree : trees_) {
+      const std::uint64_t age = tree.victims_top();
+      if (age < best_age) {
+        best_age = age;
+        best = &tree;
+      }
+    }
+    if (best == nullptr) break;  // every block pinned or blocked
+    best->victims_take();
   }
-  const std::size_t evicted = evict_blocks_locked(n);
-  pool_.release(evicted);
+  return taken;
+}
+
+std::size_t PrefixCache::evict_locked(std::uint8_t tier, std::size_t n) {
+  const std::size_t evicted =
+      take_victims_locked(RadixTree::VictimKind::Evict, tier, n);
+  if (evicted == 0) return 0;
+  if (tier == 0)
+    pool_.release(evicted);
+  else
+    (tier == 1 ? host_used_ : disk_used_) -= evicted;
   stats_.evicted_blocks += evicted;
-  if (evicted > 0) trace(EventKind::CacheEvict, evicted, 0, 0);
+  trace(EventKind::CacheEvict, evicted, tier, 0);
   return evicted;
 }
 
-// ---- Tier machinery (all pre: every stripe mutex + acct held). ----
+std::size_t PrefixCache::demote_locked(std::uint8_t tier, std::size_t n) {
+  const std::size_t moved =
+      take_victims_locked(RadixTree::VictimKind::Demote, tier, n);
+  if (moved == 0) return 0;
+  if (tier == 0) {
+    pool_.release(moved);
+    host_used_ += moved;
+  } else {
+    host_used_ -= moved;
+    disk_used_ += moved;
+  }
+  stats_.demoted_blocks += moved;
+  trace(EventKind::TierDemote, moved, tier + 1, tier);
+  return moved;
+}
 
 std::size_t PrefixCache::demote_gpu_locked(std::size_t n) {
-  // One block per step, globally oldest across stripes — the same merge
-  // that makes striped eviction identical to a single tree (stamps are
-  // unique, so per-tree demote_age values never tie meaningfully).
-  std::size_t demoted = 0;
-  while (demoted < n) {
-    std::size_t best = trees_.size();
-    std::uint64_t best_age = UINT64_MAX;
-    for (std::size_t i = 0; i < trees_.size(); ++i) {
-      const std::uint64_t age = trees_[i].demote_age(0);
-      if (age < best_age) {
-        best_age = age;
-        best = i;
-      }
-    }
-    if (best == trees_.size()) break;  // every GPU block pinned
-    if (trees_[best].demote_lru(1, 0) == 0) break;
-    ++demoted;
-  }
-  if (demoted > 0) {
-    pool_.release(demoted);
-    host_used_ += demoted;
-    stats_.demoted_blocks += demoted;
-    trace(EventKind::TierDemote, demoted, 1, 0);
-    rebalance_lower_tiers_locked();
-  }
+  const std::size_t demoted = demote_locked(0, n);
+  if (demoted > 0) rebalance_lower_tiers_locked();
   return demoted;
 }
 
@@ -385,61 +353,18 @@ void PrefixCache::rebalance_lower_tiers_locked() {
   if (config_.host_capacity_blocks > 0 &&
       host_used_ > config_.host_capacity_blocks) {
     const std::size_t excess = host_used_ - config_.host_capacity_blocks;
-    if (config_.tiers >= 3) {
-      // Push host overflow down to disk, globally oldest first. Host
-      // blocks are never pinned (pinned => GPU), so this always clears
-      // the full excess.
-      std::size_t moved = 0;
-      while (moved < excess) {
-        std::size_t best = trees_.size();
-        std::uint64_t best_age = UINT64_MAX;
-        for (std::size_t i = 0; i < trees_.size(); ++i) {
-          const std::uint64_t age = trees_[i].demote_age(1);
-          if (age < best_age) {
-            best_age = age;
-            best = i;
-          }
-        }
-        if (best == trees_.size()) break;
-        if (trees_[best].demote_lru(1, 1) == 0) break;
-        ++moved;
-      }
-      host_used_ -= moved;
-      disk_used_ += moved;
-      stats_.demoted_blocks += moved;
-      if (moved > 0) trace(EventKind::TierDemote, moved, 2, 1);
-    } else {
-      // Host IS the bottom tier: overflow dies for real.
-      host_used_ -= evict_bottom_locked(1, excess);
-    }
+    // 3-tier: push host overflow down to disk, globally oldest first.
+    // Host blocks are never pinned (pinned => GPU), so this always
+    // clears the full excess. 2-tier: host IS the bottom tier, so the
+    // overflow dies for real.
+    if (config_.tiers >= 3)
+      demote_locked(1, excess);
+    else
+      evict_locked(1, excess);
   }
   if (config_.tiers >= 3 && config_.disk_capacity_blocks > 0 &&
       disk_used_ > config_.disk_capacity_blocks)
-    disk_used_ -=
-        evict_bottom_locked(2, disk_used_ - config_.disk_capacity_blocks);
-}
-
-std::size_t PrefixCache::evict_bottom_locked(std::uint8_t tier,
-                                             std::size_t n) {
-  std::size_t evicted = 0;
-  while (evicted < n) {
-    std::size_t best = trees_.size();
-    std::uint64_t best_age = UINT64_MAX;
-    for (std::size_t i = 0; i < trees_.size(); ++i) {
-      const std::uint64_t age = trees_[i].evict_age(tier);
-      if (age < best_age) {
-        best_age = age;
-        best = i;
-      }
-    }
-    if (best == trees_.size()) break;
-    evicted += trees_[best].evict_lru_tier(1, tier);
-  }
-  if (evicted > 0) {
-    stats_.evicted_blocks += evicted;
-    trace(EventKind::CacheEvict, evicted, tier, 0);
-  }
-  return evicted;
+    evict_locked(2, disk_used_ - config_.disk_capacity_blocks);
 }
 
 bool PrefixCache::promote_pinned_path_locked(RadixTree& tree,
@@ -569,14 +494,10 @@ std::size_t PrefixCache::admit_migrated(std::span<const TokenId> tokens) {
   std::size_t need = full_blocks > path.size() ? full_blocks - path.size() : 0;
   std::size_t new_blocks = 0;
   if (need > 0) {
-    if (tiered()) {
+    if (tiered())
       make_gpu_room_locked(need);
-    } else if (!pool_.unlimited() && need > pool_.free()) {
-      const std::size_t evicted = evict_blocks_locked(need - pool_.free());
-      stats_.evicted_blocks += evicted;
-      pool_.release(evicted);
-      if (evicted > 0) trace(EventKind::CacheEvict, evicted, 0, 0);
-    }
+    else if (!pool_.unlimited() && need > pool_.free())
+      evict_locked(0, need - pool_.free());
     if (!pool_.unlimited()) need = std::min(need, pool_.free());
     std::vector<NodeId> full_path = acquire_path();
     new_blocks = tree.insert_into(tokens, clock_, need, full_path);

@@ -17,13 +17,19 @@
 // their entire first block, so same-stripe trees partition the node space
 // exactly like one tree whose root children were split by stripe — and
 // because every operation stamps a globally unique logical-clock value,
-// picking the globally oldest victim across stripes (RadixTree::lru_age)
-// reproduces the single-tree LRU eviction order exactly. The striped
-// cache is therefore behaviorally identical to the unstriped one under
-// any serialized operation sequence (pinned by tests/cache), which is
-// what lets the threaded fleet runtime stay bit-identical to the
+// merging the per-stripe victim heaps by age (take_victims_locked)
+// reproduces the single-tree LRU eviction and demotion order exactly.
+// The striped cache is therefore behaviorally identical to the unstriped
+// one under any serialized operation sequence (pinned by tests/cache),
+// which is what lets the threaded fleet runtime stay bit-identical to the
 // virtual-clock oracle. Lock order: stripe mutexes in ascending index
 // first, then the accounting mutex; never the reverse.
+//
+// Cost: every eviction or demotion call scans the node arena once (one
+// victims_begin per stripe) and then pays a heap pop plus one compare
+// per stripe for each block taken, and no steady-state operation
+// allocates — striped and tiered included (bench_micro's
+// alloc_steadystate asserts it).
 
 #include <cstdint>
 #include <memory>
@@ -48,7 +54,8 @@ struct CacheConfig {
   /// exact), 2 = GPU + host DRAM, 3 = GPU + host + disk. With tiers > 1
   /// GPU pressure demotes cold blocks down instead of destroying them,
   /// and a lower-tier hit is promoted back before the lease pins it
-  /// (DESIGN.md §13).
+  /// (DESIGN.md §13). Any other value makes PrefixCache throw
+  /// std::invalid_argument.
   std::size_t tiers = 1;
   /// Capacity of the host / disk tiers in blocks; 0 = unlimited. Only
   /// read when the corresponding tier exists.
@@ -116,6 +123,7 @@ struct TierPeek {
 
 class PrefixCache {
  public:
+  /// Throws std::invalid_argument when config.tiers is not 1, 2 or 3.
   explicit PrefixCache(CacheConfig config);
 
   // Movable (sessions receive their cache by value from the engine), not
@@ -261,10 +269,36 @@ class PrefixCache {
     std::mutex acct_mu;
   };
 
+  /// Every stripe mutex, locked in ascending index (the global lock
+  /// order) and unlocked in reverse; a no-op over a null LockState.
+  /// Holds no container, so taking the full lock set never allocates.
+  class AllStripes {
+   public:
+    explicit AllStripes(LockState* locks) : locks_(locks) {
+      if (!locks_) return;
+      for (std::mutex& m : locks_->stripe_mu) m.lock();
+    }
+    ~AllStripes() {
+      if (!locks_) return;
+      for (auto m = locks_->stripe_mu.rbegin(); m != locks_->stripe_mu.rend();
+           ++m)
+        m->unlock();
+    }
+    AllStripes(const AllStripes&) = delete;
+    AllStripes& operator=(const AllStripes&) = delete;
+
+   private:
+    LockState* locks_;
+  };
+
   std::uint32_t stripe_of(std::span<const TokenId> prompt) const;
   std::unique_lock<std::mutex> lock_stripe(std::uint32_t s) const;
   std::unique_lock<std::mutex> lock_acct() const;
-  std::vector<std::unique_lock<std::mutex>> lock_all_stripes() const;
+  /// All stripe locks, or none when `engage` is false (flat lookups lock
+  /// one stripe instead).
+  AllStripes lock_all_stripes(bool engage = true) const {
+    return AllStripes(engage ? locks_.get() : nullptr);
+  }
 
   /// Lease-path vector recycling (pre: acct mutex held, when striped).
   /// Leases carry their path vectors out to callers and bring them back
@@ -278,21 +312,31 @@ class PrefixCache {
   CacheLease pinning_match(RadixTree& tree, std::uint32_t stripe,
                            std::span<const TokenId> prompt);
 
-  // ---- Tier helpers. Pre for all: every stripe mutex + acct held (all
-  // tiered mutations take the full lock set: demotion victims and
-  // cross-tier rebalancing can touch any stripe). ----
+  // ---- Victim helpers. Pre for all: every stripe mutex + acct held
+  // (victims can sit in any stripe). ----
 
-  /// Demote up to `n` GPU-LRU blocks to host (globally oldest across
-  /// stripes), then rebalance host/disk to capacity. Returns GPU blocks
-  /// freed (fewer when everything left is pinned).
+  /// The one cross-stripe merge: begin every stripe's victim heap, then
+  /// take up to `n` victims globally oldest first — a k-way merge by
+  /// heap-top age, ties toward the lower stripe, one tree being the
+  /// k = 1 case. Returns victims taken.
+  std::size_t take_victims_locked(RadixTree::VictimKind kind,
+                                  std::uint8_t tier, std::size_t n);
+  /// Destroy up to `n` LRU unpinned leaves of `tier` (0 on a flat cache,
+  /// the bottom tier on a tiered one) and book them: tier ledger,
+  /// evicted_blocks, CacheEvict. Returns blocks destroyed.
+  std::size_t evict_locked(std::uint8_t tier, std::size_t n);
+  /// Demote up to `n` LRU unpinned blocks from `tier` to `tier + 1` and
+  /// book them: tier ledgers, demoted_blocks, TierDemote.
+  std::size_t demote_locked(std::uint8_t tier, std::size_t n);
+  /// Demote up to `n` GPU-LRU blocks to host, then rebalance host/disk to
+  /// capacity. Returns GPU blocks freed (fewer when everything left is
+  /// pinned).
   std::size_t demote_gpu_locked(std::size_t n);
   /// Demote until the GPU pool has `need` free blocks (best effort).
   void make_gpu_room_locked(std::size_t need);
   /// Push host overflow to disk (3-tier) or destroy bottom-tier LRU
   /// leaves so host/disk stay within their capacities.
   void rebalance_lower_tiers_locked();
-  /// Destroy up to `n` LRU unpinned leaves of the bottom tier `tier`.
-  std::size_t evict_bottom_locked(std::uint8_t tier, std::size_t n);
   /// Promote every lower-tier node of the pinned root-down `path` to
   /// GPU, demoting cold blocks for room. If the pool is pin-saturated,
   /// unpins and drops the non-fitting tail (returns true). `host`/`disk`
@@ -313,9 +357,6 @@ class PrefixCache {
   std::size_t admit_insert(RadixTree& tree, std::uint32_t stripe,
                            std::span<const TokenId> prompt, CacheLease& lease,
                            std::size_t need);
-  /// Evict up to n blocks picking the globally oldest victim across
-  /// stripes. Pre: all stripe mutexes + acct held (when striped).
-  std::size_t evict_blocks_locked(std::size_t n);
 
   /// Emission helper: one branch when tracing is off, no allocation.
   void trace(EventKind kind, std::uint64_t a, std::uint64_t b,

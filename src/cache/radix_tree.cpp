@@ -127,8 +127,8 @@ void RadixTree::remove_node(NodeId id) {
   Node& n = pool_[id];
   // Eviction must never take a pinned block (an in-flight request's KV
   // would dangle) or an inner node (the tree must stay prefix-closed).
-  // evict_lru filters for both; enforce here so any future caller that
-  // forgets fails loudly instead of corrupting leases.
+  // The victim predicate filters for both; enforce here so any future
+  // caller that forgets fails loudly instead of corrupting leases.
   if (n.ref_count > 0)
     throw std::logic_error("RadixTree: removing a pinned node");
   if (!n.children.empty())
@@ -230,35 +230,53 @@ void RadixTree::unpin(std::span<const NodeId> path) {
   }
 }
 
-std::size_t RadixTree::evict_lru(std::size_t want) {
-  if (want == 0) return 0;
-  // One scan collects every current victim candidate into a min-heap of
-  // (last_access, id); std::greater pops the oldest, lowest-id first —
-  // the same victim order as the classic rescan-per-victim loop. Nothing
-  // mutates recency or pins during eviction, so heap entries only go
-  // stale one way: a popped parent that regained no children is still a
-  // leaf. Parents exposed by removing their last child are pushed as they
-  // become evictable.
-  evict_heap_.clear();
+bool RadixTree::is_victim(const Node& n) const {
+  if (!n.alive || n.ref_count != 0 || n.tier != victim_tier_) return false;
+  if (victim_kind_ == VictimKind::Evict) return n.children.empty();
+  for (NodeId c : n.children)
+    if (pool_[c].tier == victim_tier_) return false;
+  return true;
+}
+
+void RadixTree::victims_begin(VictimKind kind, std::uint8_t tier) {
+  victim_kind_ = kind;
+  victim_tier_ = tier;
+  victim_heap_.clear();
   for (NodeId id = 1; id < pool_.slots(); ++id) {
     const Node& n = pool_[id];
-    if (evictable(n)) evict_heap_.emplace_back(n.last_access, id);
+    if (is_victim(n)) victim_heap_.emplace_back(n.last_access, id);
   }
+  std::make_heap(victim_heap_.begin(), victim_heap_.end(), std::greater<>{});
+}
+
+void RadixTree::victims_take() {
+  // std::greater pops the oldest, lowest-id first. Taking a victim only
+  // changes the victim status of its parent: an evicted leaf may leave
+  // the parent a leaf, and a demoted node's children already sit below
+  // its old tier, so only the parent can lose its last same-tier child.
+  // The parent was not a victim before (the victim was its child in the
+  // tier), so it is never pushed twice.
   const auto cmp = std::greater<>{};
-  std::make_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-  std::size_t evicted = 0;
-  while (evicted < want && !evict_heap_.empty()) {
-    std::pop_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-    const NodeId victim = evict_heap_.back().second;
-    evict_heap_.pop_back();
-    const NodeId parent = pool_[victim].parent;
+  std::pop_heap(victim_heap_.begin(), victim_heap_.end(), cmp);
+  const NodeId victim = victim_heap_.back().second;
+  victim_heap_.pop_back();
+  const NodeId parent = pool_[victim].parent;
+  if (victim_kind_ == VictimKind::Evict)
     remove_node(victim);
-    ++evicted;
-    if (parent != 0 && evictable(pool_[parent])) {
-      evict_heap_.emplace_back(pool_[parent].last_access, parent);
-      std::push_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-    }
+  else
+    ++pool_[victim].tier;
+  if (parent != 0 && is_victim(pool_[parent])) {
+    victim_heap_.emplace_back(pool_[parent].last_access, parent);
+    std::push_heap(victim_heap_.begin(), victim_heap_.end(), cmp);
   }
+}
+
+std::size_t RadixTree::evict_lru(std::size_t want) {
+  if (want == 0) return 0;
+  victims_begin(VictimKind::Evict, 0);
+  std::size_t evicted = 0;
+  for (; evicted < want && victims_top() != UINT64_MAX; ++evicted)
+    victims_take();
   return evicted;
 }
 
@@ -293,8 +311,9 @@ std::string RadixTree::check_invariants() const {
           return fail(id, "more recently used than its parent");
         if (pool_[n.parent].ref_count < n.ref_count)
           return fail(id, "more pinned than its parent");
-        // Demotion is oldest-first and promotion covers root-down
-        // prefixes, so tiers are monotone down every path too.
+        // A demotion victim has no child in its own tier and promotion
+        // covers root-down prefixes, so tiers are monotone down every
+        // path too.
         if (pool_[n.parent].tier > n.tier)
           return fail(id, "in a higher tier than its parent");
       }
@@ -343,15 +362,6 @@ std::size_t RadixTree::pinned_blocks() const {
   return n;
 }
 
-std::uint64_t RadixTree::lru_age() const {
-  std::uint64_t oldest = UINT64_MAX;
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (evictable(n)) oldest = std::min(oldest, n.last_access);
-  }
-  return oldest;
-}
-
 // ---- Tier operations. ----
 
 std::size_t RadixTree::tier_blocks(std::uint8_t tier) const {
@@ -359,86 +369,6 @@ std::size_t RadixTree::tier_blocks(std::uint8_t tier) const {
   for (NodeId id = 1; id < pool_.slots(); ++id)
     if (pool_[id].alive && pool_[id].tier == tier) ++n;
   return n;
-}
-
-std::uint64_t RadixTree::demote_age(std::uint8_t tier) const {
-  std::uint64_t oldest = UINT64_MAX;
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (n.alive && n.ref_count == 0 && n.tier == tier)
-      oldest = std::min(oldest, n.last_access);
-  }
-  return oldest;
-}
-
-std::size_t RadixTree::demote_lru(std::size_t want, std::uint8_t from_tier) {
-  if (want == 0) return 0;
-  // Same single-scan min-heap as evict_lru, but over unpinned blocks of
-  // one tier and with no structural change. A node with a same-tier child
-  // must not demote before that child (tier monotonicity down paths);
-  // recency monotonicity means the child is at least as old, but one
-  // insert stamps a whole path with one clock value, so parent and child
-  // can tie and the id tiebreak can order them either way. Popped nodes
-  // that still have a same-tier child are therefore skipped — a deepest
-  // minimal-age node always qualifies, so a caller looping want=1 drains
-  // the tier in exact oldest-first order anyway.
-  evict_heap_.clear();
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (n.alive && n.ref_count == 0 && n.tier == from_tier)
-      evict_heap_.emplace_back(n.last_access, id);
-  }
-  const auto cmp = std::greater<>{};
-  std::make_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-  std::size_t demoted = 0;
-  while (demoted < want && !evict_heap_.empty()) {
-    std::pop_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-    const NodeId victim = evict_heap_.back().second;
-    evict_heap_.pop_back();
-    const Node& n = pool_[victim];
-    bool blocked = false;
-    for (NodeId c : n.children) blocked |= (pool_[c].tier == from_tier);
-    if (blocked) continue;
-    pool_[victim].tier = from_tier + 1;
-    ++demoted;
-  }
-  return demoted;
-}
-
-std::uint64_t RadixTree::evict_age(std::uint8_t tier) const {
-  std::uint64_t oldest = UINT64_MAX;
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (evictable(n) && n.tier == tier) oldest = std::min(oldest, n.last_access);
-  }
-  return oldest;
-}
-
-std::size_t RadixTree::evict_lru_tier(std::size_t want, std::uint8_t tier) {
-  if (want == 0) return 0;
-  evict_heap_.clear();
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (evictable(n) && n.tier == tier)
-      evict_heap_.emplace_back(n.last_access, id);
-  }
-  const auto cmp = std::greater<>{};
-  std::make_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-  std::size_t evicted = 0;
-  while (evicted < want && !evict_heap_.empty()) {
-    std::pop_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-    const NodeId victim = evict_heap_.back().second;
-    evict_heap_.pop_back();
-    const NodeId parent = pool_[victim].parent;
-    remove_node(victim);
-    ++evicted;
-    if (parent != 0 && evictable(pool_[parent]) &&
-        pool_[parent].tier == tier) {
-      evict_heap_.emplace_back(pool_[parent].last_access, parent);
-      std::push_heap(evict_heap_.begin(), evict_heap_.end(), cmp);
-    }
-  }
-  return evicted;
 }
 
 void RadixTree::match_tier_tokens(std::span<const TokenId> tokens,

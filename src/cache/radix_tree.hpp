@@ -14,19 +14,28 @@
 // without touching the heap. Every node caches the 64-bit token_ops hash
 // of its block; child lookup compares hashes before tokens, and nodes
 // whose fan-out reaches kIndexMinFanout carry an open-addressed child
-// table that turns find_child into O(1) probes. Batch eviction is one
-// scan plus a min-heap instead of a rescan per victim.
+// table that turns find_child into O(1) probes.
+//
+// Victims: eviction and demotion share one victim heap. victims_begin()
+// scans the arena once and heaps the current victims of one tier by
+// (last_access, id); victims_take() pops the oldest, evicts or demotes
+// it, and pushes its parent if that made the parent a victim. Nothing
+// else changes the victim set between takes, so a batch of k takes is
+// exactly k rounds of "rescan, take the oldest" for one scan.
 //
 // Tiers (DESIGN.md §13): each node carries a tier tag — 0 = GPU, 1 =
 // host DRAM, 2 = disk. A flat cache leaves every node at tier 0 and the
 // tier machinery is never touched. The tree maintains tier monotonicity
-// down every path (child.tier >= parent.tier): demotion always takes the
-// oldest unpinned block of a tier first, and recency is monotone down
-// paths (a child is strictly older than its parent because touches cover
-// root-down prefixes and clock stamps are unique), so a node's same-tier
-// children always demote before it; promotion covers root-down path
-// prefixes only. Pinned nodes are never demoted, which with promotion-
-// before-pin gives "pinned => GPU-resident" as a walked invariant.
+// down every path (child.tier >= parent.tier): a demotion victim has no
+// child in its own tier, so a node's same-tier children always demote
+// before it, and promotion covers root-down path prefixes only. Recency
+// and pins are monotone down paths too (touches and pins cover root-down
+// prefixes), so the oldest unpinned block of a demoted tier (or of the
+// bottom tier, which is the only one that evicts) is a victim or sits
+// above one of the same age: taking victims oldest-first takes the
+// tier's blocks oldest-first. Pinned nodes are never demoted, which with
+// promotion-before-pin gives "pinned => GPU-resident" as a walked
+// invariant.
 
 #include <cstdint>
 #include <memory>
@@ -94,26 +103,38 @@ class RadixTree {
   void pin(std::span<const NodeId> path);
   void unpin(std::span<const NodeId> path);
 
-  /// Evict up to `want` least-recently-used, unpinned leaves. Returns the
-  /// number actually evicted (may be fewer if everything is pinned or has
-  /// children). One scan over the table builds a min-heap of victims;
-  /// parents exposed as new leaves join the heap as their last child
-  /// goes, so the victim sequence is identical to the classic
-  /// rescan-per-victim loop (ties broken toward the lower node id).
+  /// What victims_take() does to a victim. Evict destroys an unpinned
+  /// leaf of the tier; Demote moves an unpinned node of the tier that has
+  /// no child in the tier down one tier (no structural change).
+  enum class VictimKind : std::uint8_t { Evict, Demote };
+
+  /// Scan the arena once and heap every current `kind` victim at `tier`
+  /// by (last_access, id), oldest first and ties toward the lower id.
+  /// Replaces the heap of any earlier begin. The heap stays valid until
+  /// the tree is mutated other than through victims_take().
+  void victims_begin(VictimKind kind, std::uint8_t tier);
+
+  /// last_access of the victim victims_take() would take next, or
+  /// UINT64_MAX when none is left. Lets a sharded owner (PrefixCache with
+  /// lock striping) merge per-stripe heaps by age: every operation stamps
+  /// a globally unique clock value, so the merged order is exactly the
+  /// order one tree holding every stripe would give.
+  std::uint64_t victims_top() const {
+    return victim_heap_.empty() ? UINT64_MAX : victim_heap_.front().first;
+  }
+
+  /// Evict or demote the top victim (pre: victims_top() != UINT64_MAX).
+  /// If that makes its parent a victim, the parent joins the heap, so the
+  /// heap always holds exactly the victims a fresh victims_begin() would.
+  void victims_take();
+
+  /// Evict up to `want` least-recently-used, unpinned tier-0 leaves (one
+  /// victims_begin, then victims_take until done). Returns the number
+  /// actually evicted (fewer if everything is pinned or has children).
   std::size_t evict_lru(std::size_t want);
 
   /// Total pinned nodes (diagnostics / tests).
   std::size_t pinned_blocks() const;
-
-  /// last_access of the block evict_lru() would take next (the oldest
-  /// unpinned leaf), or UINT64_MAX when nothing is evictable. Lets a
-  /// sharded owner (PrefixCache with lock striping) pick the globally
-  /// oldest victim across per-stripe trees without merging them: every
-  /// access stamps a globally unique clock value, so comparing per-tree
-  /// ages reproduces exactly the eviction order a single tree would give.
-  /// Shares the evictable() predicate with evict_lru so the global-LRU
-  /// decision cannot drift from actual eviction order.
-  std::uint64_t lru_age() const;
 
   /// Sum of ref_count over all alive nodes — the number of (lease, node)
   /// pin edges outstanding. PrefixCache cross-checks this against its own
@@ -133,27 +154,6 @@ class RadixTree {
 
   /// Alive blocks currently at `tier` (ledger walk; O(slots)).
   std::size_t tier_blocks(std::uint8_t tier) const;
-
-  /// last_access of the oldest unpinned block at `tier` (the next
-  /// demotion victim), or UINT64_MAX when none. Mirrors lru_age() for the
-  /// sharded owner's cross-stripe global-LRU demotion decision.
-  std::uint64_t demote_age(std::uint8_t tier) const;
-
-  /// Demote up to `want` oldest unpinned blocks from `from_tier` to
-  /// `from_tier + 1`. No structural change; returns blocks demoted.
-  /// Oldest-first order makes this tier-monotone by construction: an
-  /// unpinned node's same-tier children are strictly older (and unpinned,
-  /// since pins are monotone up paths), so they demote first.
-  std::size_t demote_lru(std::size_t want, std::uint8_t from_tier);
-
-  /// last_access of the oldest evictable (unpinned leaf) block at `tier`,
-  /// or UINT64_MAX when none. Companion of evict_lru_tier.
-  std::uint64_t evict_age(std::uint8_t tier) const;
-
-  /// Evict up to `want` LRU unpinned leaves restricted to `tier` (the
-  /// bottom tier sheds blocks for real; upper tiers demote instead).
-  /// Parents exposed as leaves join the heap only if they sit at `tier`.
-  std::size_t evict_lru_tier(std::size_t want, std::uint8_t tier);
 
   /// Read-only walk of the longest cached prefix (exactly match_tokens'
   /// traversal) that splits the matched tokens by the tier each block
@@ -235,9 +235,8 @@ class RadixTree {
     return {base, block_size_};
   }
 
-  bool evictable(const Node& n) const {
-    return n.alive && n.ref_count == 0 && n.children.empty();
-  }
+  /// The victim predicate of the current victims_begin(kind, tier).
+  bool is_victim(const Node& n) const;
 
   NodeId find_child(NodeId node, std::span<const TokenId> block) const;
   NodeId add_child(NodeId node, std::span<const TokenId> block,
@@ -252,8 +251,10 @@ class RadixTree {
   util::SlotPool<Node> pool_;    // slot 0 is the root
   std::vector<std::unique_ptr<TokenId[]>> block_slabs_;
   std::size_t num_blocks_ = 0;
-  // Scratch for evict_lru: (last_access, id) min-heap, capacity reused.
-  std::vector<std::pair<std::uint64_t, NodeId>> evict_heap_;
+  // Victim heap: (last_access, id) min-heap, capacity reused.
+  std::vector<std::pair<std::uint64_t, NodeId>> victim_heap_;
+  VictimKind victim_kind_ = VictimKind::Evict;
+  std::uint8_t victim_tier_ = 0;
 };
 
 }  // namespace llmq::cache

@@ -150,7 +150,11 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"evict_batch", "evicted", false, 0.0},
         {"evict_batch", "us_per_block", true, 1.0, true},
         {"alloc_steadystate", "steady_allocs", false, 0.0},
-        {"alloc_steadystate", "node_slots_delta", false, 0.0}}},
+        {"alloc_steadystate", "node_slots_delta", false, 0.0},
+        {"alloc_steadystate", "steady_allocs_tiers2", false, 0.0},
+        {"alloc_steadystate", "steady_allocs_tiers3", false, 0.0},
+        {"alloc_steadystate", "steady_allocs_striped_flat", false, 0.0},
+        {"alloc_steadystate", "steady_allocs_striped_tiered", false, 0.0}}},
       // Tier hierarchy + elasticity. PHR and tails use the standard
       // bands; the headline tiered-vs-flat ordering is re-asserted by the
       // bench itself (it exits nonzero on violation), so the golden pins

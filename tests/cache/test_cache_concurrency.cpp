@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cache/prefix_cache.hpp"
+#include "cache_state.hpp"
 #include "util/rng.hpp"
 
 namespace llmq::cache {
@@ -39,14 +40,20 @@ CacheConfig cfg(std::size_t stripes, std::size_t block = 4,
 }
 
 /// A deterministic prompt pool with shared prefixes across several
-/// "families" (distinct first blocks -> distinct stripes).
+/// "families" (distinct first blocks, spread over stripes by hash).
+/// Family bases are random tokens: the stripe of a prompt (its first
+/// block's hash modulo the stripe count) depends only on the low bits of
+/// those tokens, and per-family runs like 1000*f.. share their low bits,
+/// which would put every family on one stripe and leave the cross-stripe
+/// victim merge untested.
 std::vector<tokenizer::TokenSeq> prompt_pool(std::size_t families,
                                              std::size_t per_family,
                                              std::size_t block) {
   std::vector<tokenizer::TokenSeq> prompts;
+  util::Rng rng(97);
   for (std::size_t f = 0; f < families; ++f) {
-    const tokenizer::TokenSeq base =
-        iota_seq(3 * block, static_cast<TokenId>(1000 * f));
+    tokenizer::TokenSeq base(3 * block);
+    for (auto& t : base) t = static_cast<TokenId>(rng.next_u64());
     for (std::size_t i = 0; i < per_family; ++i) {
       tokenizer::TokenSeq p = base;
       const auto tail = iota_seq((i % 3 + 1) * block,
@@ -121,55 +128,71 @@ TEST(CacheConcurrency, StripedMatchesUnstripedSerialized) {
 }
 
 TEST(CacheConcurrency, EvictionSequenceMatchesUnstripedUnderChurn) {
-  // Eviction-order regression: under sustained churn on a tight capacity
+  // Victim-order regression: under sustained churn on a tight GPU pool
   // (so admits trigger implicit capacity eviction, not just explicit
   // evict() calls), a striped cache must shed exactly the blocks the
-  // unstriped one does at every step. lru_age() and evict_lru() share
-  // one victim predicate; this pins that the cross-stripe global-LRU
-  // merge reproduces the single-tree order even while leases pin and
-  // unpin paths mid-stream.
+  // unstriped one does at every step. On a tiered cache GPU pressure
+  // demotes, a bounded host tier cascades to disk (3 tiers) or destroys
+  // (2 tiers), and a bounded disk tier destroys. Each stripe heaps its
+  // own victims; this pins that the cross-stripe merge by heap-top age
+  // reproduces the single-tree order even while leases pin and unpin
+  // paths mid-stream: same counters, same per-tier residency, same tier
+  // split per prompt.
   const auto prompts = prompt_pool(8, 10, 4);
-  for (std::size_t stripes : {2u, 8u, 32u}) {
-    SCOPED_TRACE("stripes=" + std::to_string(stripes));
-    PrefixCache plain(cfg(0, 4, 40));     // tight: ~1/4 of the working set
-    PrefixCache striped(cfg(stripes, 4, 40));
-    std::vector<CacheLease> plain_leases, striped_leases;
-    util::Rng rng(777);
-    for (std::size_t step = 0; step < 600; ++step) {
-      const std::size_t op = rng.next_below(8);
-      if (op < 4 || plain_leases.empty()) {
-        const auto& p = prompts[rng.next_below(prompts.size())];
-        CacheLease a = plain.lookup(p);
-        CacheLease b = striped.lookup(p);
-        EXPECT_EQ(a.cached_tokens, b.cached_tokens);
-        EXPECT_EQ(plain.admit(p, a), striped.admit(p, b));
-        plain_leases.push_back(a);
-        striped_leases.push_back(b);
-      } else if (op < 6) {
-        const std::size_t i = rng.next_below(plain_leases.size());
+  for (std::size_t tiers : {1u, 2u, 3u}) {
+    for (std::size_t stripes : {2u, 8u, 32u}) {
+      SCOPED_TRACE("tiers=" + std::to_string(tiers) +
+                   " stripes=" + std::to_string(stripes));
+      CacheConfig c = cfg(0, 4, 40);  // tight: ~1/4 of the working set
+      c.tiers = tiers;
+      c.host_capacity_blocks = 24;
+      c.disk_capacity_blocks = 16;
+      PrefixCache plain(c);
+      c.lock_stripes = stripes;
+      PrefixCache striped(c);
+      std::vector<CacheLease> plain_leases, striped_leases;
+      util::Rng rng(776 + tiers);
+      for (std::size_t step = 0; step < 600; ++step) {
+        const std::size_t op = rng.next_below(8);
+        if (op < 4 || plain_leases.empty()) {
+          const auto& p = prompts[rng.next_below(prompts.size())];
+          CacheLease a = plain.lookup(p);
+          CacheLease b = striped.lookup(p);
+          ASSERT_EQ(a.cached_tokens, b.cached_tokens) << "step " << step;
+          ASSERT_EQ(a.promoted_host_blocks, b.promoted_host_blocks);
+          ASSERT_EQ(a.promoted_disk_blocks, b.promoted_disk_blocks);
+          ASSERT_EQ(plain.admit(p, a), striped.admit(p, b));
+          plain_leases.push_back(a);
+          striped_leases.push_back(b);
+        } else if (op < 6) {
+          const std::size_t i = rng.next_below(plain_leases.size());
+          plain.release(plain_leases[i]);
+          striped.release(striped_leases[i]);
+          plain_leases.erase(plain_leases.begin() + i);
+          striped_leases.erase(striped_leases.begin() + i);
+        } else {
+          const std::size_t k = 1 + rng.next_below(4);
+          ASSERT_EQ(plain.evict(k), striped.evict(k)) << "step " << step;
+        }
+        ASSERT_EQ(plain.check_invariants(), "") << "step " << step;
+        ASSERT_EQ(striped.check_invariants(), "") << "step " << step;
+        cache_test::expect_same_state(plain, striped, prompts, step);
+        if (::testing::Test::HasFailure()) return;
+      }
+      for (std::size_t i = 0; i < plain_leases.size(); ++i) {
         plain.release(plain_leases[i]);
         striped.release(striped_leases[i]);
-        plain_leases.erase(plain_leases.begin() + i);
-        striped_leases.erase(striped_leases.begin() + i);
-      } else {
-        const std::size_t k = 1 + rng.next_below(4);
-        EXPECT_EQ(plain.evict(k), striped.evict(k));
       }
-      // Same evictions at the same step, block for block.
-      EXPECT_EQ(plain.stats().evicted_blocks, striped.stats().evicted_blocks);
-      EXPECT_EQ(plain.resident_blocks(), striped.resident_blocks());
-      if (step % 37 == 0) {  // full residency fingerprint now and then
-        for (const auto& p : prompts)
-          EXPECT_EQ(plain.peek(p), striped.peek(p)) << "step " << step;
+      // The stream must really have reached bottom-tier deaths (and,
+      // tiered, demotions on the way down).
+      EXPECT_GT(plain.stats().evicted_blocks, 0u);
+      if (tiers > 1) {
+        EXPECT_GT(plain.stats().demoted_blocks, 0u);
       }
+      expect_stats_eq(plain.stats(), striped.stats());
+      EXPECT_EQ(plain.check_invariants(), "");
+      EXPECT_EQ(striped.check_invariants(), "");
     }
-    for (std::size_t i = 0; i < plain_leases.size(); ++i) {
-      plain.release(plain_leases[i]);
-      striped.release(striped_leases[i]);
-    }
-    expect_stats_eq(plain.stats(), striped.stats());
-    EXPECT_EQ(plain.check_invariants(), "");
-    EXPECT_EQ(striped.check_invariants(), "");
   }
 }
 

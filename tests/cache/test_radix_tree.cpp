@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
 namespace llmq::cache {
 namespace {
@@ -217,6 +219,115 @@ TEST(RadixTree, BatchEvictMatchesOneByOneEviction) {
     EXPECT_EQ(batch.check_invariants(), "");
     EXPECT_EQ(single.check_invariants(), "");
   }
+}
+
+// A tree whose paths share stamps: every multi-block insert stamps its
+// whole path with one clock value, and recycled slots give some children
+// a lower id than their parent — the tie the (last_access, id) order
+// cannot break toward the parent on its own.
+RadixTree shared_stamp_tree() {
+  RadixTree t(2);
+  std::uint64_t now = 1;
+  for (TokenId i = 0; i < 6; ++i) t.insert(seq({i, i}), now++);
+  t.evict_lru(3);  // frees the three oldest slots (roots 0, 1, 2)
+  for (TokenId i = 3; i < 6; ++i)
+    t.insert(seq({i, i, 9, i, 7, 7}), now++);  // children reuse those slots
+  for (TokenId i = 10; i < 14; ++i)
+    t.insert(seq({i, i, i, 1, i, 2, i, 3}), now++);
+  t.insert(seq({10, 10, 10, 1, 5, 5}), now++);  // branch under a stamped path
+  t.insert(seq({12, 12, 12, 1}), now++);        // re-stamp a path prefix
+  return t;
+}
+
+const std::vector<tokenizer::TokenSeq>& shared_stamp_probes() {
+  static const std::vector<tokenizer::TokenSeq> probes = [] {
+    std::vector<tokenizer::TokenSeq> out;
+    for (TokenId i = 3; i < 6; ++i) out.push_back(seq({i, i, 9, i, 7, 7}));
+    for (TokenId i = 10; i < 14; ++i)
+      out.push_back(seq({i, i, i, 1, i, 2, i, 3}));
+    out.push_back(seq({10, 10, 10, 1, 5, 5}));
+    return out;
+  }();
+  return probes;
+}
+
+/// Per-probe (gpu, host, disk) matched tokens plus per-tier block counts.
+std::vector<std::size_t> tier_fingerprint(const RadixTree& t) {
+  std::vector<std::size_t> out;
+  for (const auto& p : shared_stamp_probes()) {
+    std::size_t gpu = 0, host = 0, disk = 0;
+    t.match_tier_tokens(p, gpu, host, disk);
+    out.insert(out.end(), {gpu, host, disk});
+  }
+  for (std::uint8_t tier = 0; tier < 3; ++tier)
+    out.push_back(t.tier_blocks(tier));
+  return out;
+}
+
+/// Take up to `k` victims from one heap, or from a fresh heap per victim.
+std::size_t take_victims(RadixTree& t, RadixTree::VictimKind kind,
+                         std::uint8_t tier, std::size_t k, bool one_by_one) {
+  std::size_t taken = 0;
+  if (!one_by_one) t.victims_begin(kind, tier);
+  for (; taken < k; ++taken) {
+    if (one_by_one) t.victims_begin(kind, tier);
+    if (t.victims_top() == UINT64_MAX) break;
+    t.victims_take();
+    EXPECT_EQ(t.check_invariants(), "") << "after victim " << taken;
+  }
+  return taken;
+}
+
+TEST(RadixTree, SharedStampTreeHasChildWithLowerIdThanParent) {
+  // Precondition of the batch-demotion test below: the fixture really
+  // contains the same-stamp, lower-id child.
+  RadixTree t = shared_stamp_tree();
+  ASSERT_EQ(t.check_invariants(), "");
+  bool found = false;
+  for (const auto& p : shared_stamp_probes()) {
+    const auto path = t.match(p).path;
+    for (std::size_t i = 1; i < path.size(); ++i)
+      found |= path[i] < path[i - 1] &&
+               t.node_last_access(path[i]) == t.node_last_access(path[i - 1]);
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(RadixTree, BatchDemotionMatchesOneByOneOnSharedStamps) {
+  // One heap demotes a parent only once its last same-tier child has
+  // gone, so batch demotion stays tier-monotone even where parent and
+  // child share a stamp, and takes exactly the blocks one-at-a-time
+  // demotion (a fresh scan per victim) takes: GPU -> host, host -> disk,
+  // then bottom-tier eviction.
+  using Kind = RadixTree::VictimKind;
+  for (std::size_t k : {1u, 2u, 4u, 7u, 11u, 100u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    RadixTree batch = shared_stamp_tree();
+    RadixTree single = shared_stamp_tree();
+    const std::pair<Kind, std::uint8_t> phases[] = {
+        {Kind::Demote, 0}, {Kind::Demote, 1}, {Kind::Evict, 2}};
+    for (const auto& [kind, tier] : phases) {
+      EXPECT_EQ(take_victims(batch, kind, tier, k, false),
+                take_victims(single, kind, tier, k, true))
+          << "tier " << int{tier};
+      EXPECT_EQ(tier_fingerprint(batch), tier_fingerprint(single))
+          << "tier " << int{tier};
+    }
+  }
+}
+
+TEST(RadixTree, PinnedNodesAreNeverVictims) {
+  RadixTree t = shared_stamp_tree();
+  const auto path = t.match(seq({10, 10, 10, 1, 10, 2, 10, 3})).path;
+  t.pin(path);
+  const std::size_t blocks = t.num_blocks();
+  const std::size_t demoted =
+      take_victims(t, RadixTree::VictimKind::Demote, 0, 1000, false);
+  EXPECT_EQ(demoted, blocks - path.size());
+  for (NodeId id : path) EXPECT_EQ(t.node_tier(id), 0u);
+  EXPECT_EQ(take_victims(t, RadixTree::VictimKind::Evict, 0, 1000, false), 0u);
+  t.unpin(path);
+  EXPECT_EQ(t.check_invariants(), "");
 }
 
 TEST(RadixTree, MatchVariantsAgree) {

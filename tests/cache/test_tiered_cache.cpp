@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "cache/prefix_cache.hpp"
+#include "cache_state.hpp"
 #include "util/rng.hpp"
 
 namespace llmq::cache {
@@ -246,6 +248,102 @@ TEST(TieredCache, HostPressureCascadesToDiskThenDestroys) {
   EXPECT_GT(two_tier.stats().evicted_blocks, 0u);
   EXPECT_EQ(cascade.check_invariants(), "");
   EXPECT_EQ(two_tier.check_invariants(), "");
+}
+
+// ---- Batch victims == one-by-one victims. ----
+
+struct BatchParams {
+  std::size_t tiers;
+  std::size_t stripes;
+};
+
+std::ostream& operator<<(std::ostream& os, const BatchParams& p) {
+  return os << "t" << p.tiers << "s" << p.stripes;
+}
+
+class BatchVictims : public ::testing::TestWithParam<BatchParams> {};
+
+TEST_P(BatchVictims, EvictOfKMatchesKEvictsOfOne) {
+  // One seeded op stream drives twin caches; on every evict op one twin
+  // takes k victims in one call (one heap per stripe, merged) and the
+  // other takes them one call at a time (a fresh scan per victim). The
+  // batch must pick exactly the blocks the per-victim loop picks — GPU
+  // demotions, host->disk cascades and bottom-tier deaths included — so
+  // the twins agree on every counter, tier and per-prompt tier split.
+  const BatchParams p = GetParam();
+  CacheConfig c{2, 12, true, p.stripes, p.tiers, 8, 6};
+  PrefixCache batch(c);
+  PrefixCache single(c);
+  util::Rng rng(4242 + 10 * p.tiers + p.stripes);
+  std::vector<tokenizer::TokenSeq> prompts;
+  for (int i = 0; i < 16; ++i) prompts.push_back(random_prompt(rng, 14, 3));
+  std::vector<CacheLease> held_batch, held_single;
+
+  for (std::size_t step = 0; step < 300; ++step) {
+    const auto& prompt = prompts[rng.next_below(prompts.size())];
+    switch (rng.next_below(6)) {
+      case 0:
+      case 1: {  // lookup + admit, keep the lease in flight
+        CacheLease a = batch.lookup(prompt);
+        CacheLease b = single.lookup(prompt);
+        ASSERT_EQ(a.cached_tokens, b.cached_tokens) << "step " << step;
+        ASSERT_EQ(batch.admit(prompt, a), single.admit(prompt, b));
+        held_batch.push_back(std::move(a));
+        held_single.push_back(std::move(b));
+        break;
+      }
+      case 2:
+      case 3: {  // release a random in-flight lease
+        if (held_batch.empty()) break;
+        const std::size_t i = rng.next_below(held_batch.size());
+        batch.release(held_batch[i]);
+        single.release(held_single[i]);
+        held_batch.erase(held_batch.begin() + static_cast<std::ptrdiff_t>(i));
+        held_single.erase(held_single.begin() +
+                          static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+      default: {  // k victims at once vs one at a time
+        const std::size_t k = 1 + rng.next_below(6);
+        std::size_t one_by_one = 0;
+        for (std::size_t i = 0; i < k; ++i) one_by_one += single.evict(1);
+        ASSERT_EQ(batch.evict(k), one_by_one) << "step " << step;
+        break;
+      }
+    }
+    ASSERT_EQ(batch.check_invariants(), "") << "step " << step;
+    ASSERT_EQ(single.check_invariants(), "") << "step " << step;
+    cache_test::expect_same_state(batch, single, prompts, step);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The stream must really have exercised the victim paths.
+  EXPECT_GT(batch.stats().evicted_blocks, 0u);
+  if (p.tiers > 1) {
+    EXPECT_GT(batch.stats().demoted_blocks, 0u);
+  }
+}
+
+std::vector<BatchParams> batch_sweep() {
+  std::vector<BatchParams> out;
+  for (std::size_t tiers : {1u, 2u, 3u})
+    for (std::size_t stripes : {0u, 2u, 8u}) out.push_back({tiers, stripes});
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(TiersByStripes, BatchVictims,
+                         ::testing::ValuesIn(batch_sweep()));
+
+TEST(TieredCache, TierCountOutsideOneToThreeIsRejected) {
+  for (std::size_t tiers : {0u, 4u, 17u}) {
+    CacheConfig c{4, 8, true};
+    c.tiers = tiers;
+    EXPECT_THROW(PrefixCache{c}, std::invalid_argument) << "tiers=" << tiers;
+  }
+  for (std::size_t tiers : {1u, 2u, 3u}) {
+    CacheConfig c{4, 8, true};
+    c.tiers = tiers;
+    EXPECT_NO_THROW(PrefixCache{c}) << "tiers=" << tiers;
+  }
 }
 
 TEST(TieredCache, PinnedBlocksAreNeverDemoted) {
