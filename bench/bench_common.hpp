@@ -7,12 +7,16 @@
 //   --full        shorthand for --scale 1.0
 //   --json <path> also write results as machine-readable JSON (the
 //                 BENCH_*.json perf-trajectory format; see JsonReport)
+//   --trace <path> write a Perfetto trace (benches that support it)
+// Any other argument is an error (usage on stderr, exit status 2).
 // Scaled runs also scale the KV pool by the same fraction so the
 // data-to-cache ratio (the regime that makes reordering matter) is
 // preserved; see ExecConfig::scale_kv_pool.
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,27 +54,59 @@ struct BenchOptions {
   }
 };
 
+inline void print_usage(std::FILE* out, const char* prog) {
+  std::fprintf(out,
+               "usage: %s [--scale f] [--seed s] [--full] [--json path] "
+               "[--trace path]\n",
+               prog);
+}
+
+[[noreturn]] inline void usage_error(const char* prog, const char* what,
+                                     const char* arg) {
+  std::fprintf(stderr, "%s: %s '%s'\n", prog, what, arg);
+  print_usage(stderr, prog);
+  std::exit(2);
+}
+
+/// Parse the shared flags. An unknown flag, a flag missing its value, a
+/// malformed number, or --scale <= 0 prints the usage line on stderr and
+/// exits with status 2: a typo never runs the default config.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opt;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      opt.scale = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--full") == 0) {
+    const char* flag = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error(argv[0], "missing value for", flag);
+      return argv[++i];
+    };
+    if (std::strcmp(flag, "--scale") == 0) {
+      const char* v = value();
+      char* end = nullptr;
+      opt.scale = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(opt.scale) ||
+          opt.scale <= 0.0)
+        usage_error(argv[0], "--scale needs a number > 0, got", v);
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      const char* v = value();
+      char* end = nullptr;
+      errno = 0;
+      opt.seed = std::strtoull(v, &end, 10);
+      if (end == v || *end != '\0' || errno == ERANGE || *v == '-')
+        usage_error(argv[0], "--seed needs a non-negative integer, got", v);
+    } else if (std::strcmp(flag, "--full") == 0) {
       opt.scale = 1.0;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      opt.trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
+    } else if (std::strcmp(flag, "--json") == 0) {
+      opt.json_path = value();
+    } else if (std::strcmp(flag, "--trace") == 0) {
+      opt.trace_path = value();
+    } else if (std::strcmp(flag, "--help") == 0) {
+      print_usage(stdout, argv[0]);
       std::printf(
-          "usage: %s [--scale f] [--seed s] [--full] [--json path] "
-          "[--trace path]\n"
           "  --trace writes a Perfetto trace of one representative run\n"
-          "  (load it at ui.perfetto.dev; <path>.jsonl gets the raw events)\n",
-          argv[0]);
+          "  (load it at ui.perfetto.dev; <path>.jsonl gets the raw events)\n");
       std::exit(0);
+    } else {
+      usage_error(argv[0], "unknown flag", flag);
     }
   }
   return opt;

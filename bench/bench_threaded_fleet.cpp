@@ -2,8 +2,9 @@
 //
 // Every other bench in this repo reports *simulated* seconds: the
 // virtual clock is the oracle and wall time is irrelevant. This bench is
-// the one place wall time is the subject. ThreadedFleet runs one worker
-// thread per replica and is property-pinned to produce bit-identical
+// the one place wall time is the subject. ThreadedFleet steps replicas
+// on a pool of at most hardware_concurrency - 1 worker threads (at most
+// one per replica) and is property-pinned to produce bit-identical
 // simulated results to the single-threaded virtual-clock driver
 // (tests/threaded/), so the question left is purely operational: how
 // much faster does the simulation itself run when replicas execute on

@@ -173,9 +173,8 @@ class ServingEngine {
 
   /// A cache suitable for session use with this engine. `lock_stripes`
   /// follows CacheConfig: 0 (the default) builds the single-threaded,
-  /// lock-free cache; S > 0 builds a thread-safe striped cache for
-  /// runtimes whose worker threads share cache probes with a driver
-  /// (serve/threaded_fleet.hpp).
+  /// lock-free cache; S > 0 builds a thread-safe striped cache (the
+  /// threaded fleet's default, serve/threaded_fleet.hpp).
   cache::PrefixCache make_session_cache(std::size_t lock_stripes = 0) const;
 
   const CostModel& cost_model() const { return cost_; }

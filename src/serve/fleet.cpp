@@ -42,7 +42,8 @@ llm::EngineMetrics aggregate_replica_engines(
   return agg;
 }
 
-ReplicaFleet::ReplicaFleet(const FleetConfig& config)
+ReplicaFleet::ReplicaFleet(const FleetConfig& config,
+                           std::size_t lock_stripes)
     : router_(config.router,
               config.elasticity.enabled
                   ? config.elasticity.ceiling(config.n_replicas)
@@ -56,7 +57,7 @@ ReplicaFleet::ReplicaFleet(const FleetConfig& config)
                                 : config.n_replicas;
   replicas_.reserve(total);
   for (std::size_t r = 0; r < total; ++r)
-    replicas_.push_back(std::make_unique<Replica>(config));
+    replicas_.push_back(std::make_unique<Replica>(config, lock_stripes));
   counters_.resize(total);
   active_.assign(total, 0);
   draining_.assign(total, 0);

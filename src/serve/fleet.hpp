@@ -2,23 +2,23 @@
 // Replica fleet: N independent engine+cache replicas behind one router,
 // stepped on a merged virtual clock.
 //
-// Extracted from the run_online_replicated event loop so that two drivers
-// share one replicated execution core:
+// The one replicated execution core behind every fleet driver:
 //
-//   * the arrival-stream loop (online.cpp): scheduler windows dispatch
-//     requests into the fleet;
+//   * the online event loop (online.cpp) — scheduler windows dispatch
+//     requests into the fleet; the virtual-clock driver steps it one
+//     replica step at a time, the threaded runtime (threaded_fleet.hpp) is
+//     this same class plus a worker pool that steps replicas in parallel
+//     between dispatches;
 //   * the query-serving client (query_client.hpp): concurrent relational
 //     queries submit their per-row invocations into the same fleet.
 //
 // The fleet owns routing, per-replica submission, the merged-clock frontier
 // rule, per-replica attribution counters, elasticity (watermark-driven
 // scale-up/down with warm-spawn prefix migration — see ElasticityConfig),
-// and the outstanding-load
-// imbalance sampling; drivers own arrival semantics (what to dispatch
-// when) and completion bookkeeping. The clock-merge rule is documented in
-// online.hpp and DESIGN.md §3.1 and is unchanged by the extraction — the
-// n_replicas == 1 bit-exact equivalence test in tests/router/ still pins
-// it.
+// and the outstanding-load imbalance sampling; drivers own arrival
+// semantics (what to dispatch when) and completion bookkeeping. The
+// clock-merge rule is documented in online.hpp and DESIGN.md §3.1 — the
+// n_replicas == 1 bit-exact equivalence test in tests/router/ pins it.
 
 #include <cstdint>
 #include <memory>
@@ -50,9 +50,9 @@ namespace llmq::serve {
 ///     it; once idle it parks (leaves the active set, cache kept warm).
 ///
 /// All decisions happen at dispatch points as a pure function of fleet
-/// state and the merged clock, so the virtual-clock and threaded drivers
-/// scale bit-identically. Disabled (the default) leaves every code path
-/// byte-for-byte the fixed-size fleet.
+/// state and the merged clock; the threaded runtime runs this same code on
+/// its driver thread, so both drivers scale bit-identically. Disabled (the
+/// default) leaves every code path byte-for-byte the fixed-size fleet.
 struct ElasticityConfig {
   bool enabled = false;
   /// Scale-down floor: never drain below this many serving replicas.
@@ -111,7 +111,10 @@ llm::EngineMetrics aggregate_replica_engines(
 class ReplicaFleet {
  public:
   /// Throws std::invalid_argument when config.n_replicas == 0.
-  explicit ReplicaFleet(const FleetConfig& config);
+  /// `lock_stripes` is each replica cache's CacheConfig::lock_stripes
+  /// (0 = the unstriped single-threaded cache).
+  explicit ReplicaFleet(const FleetConfig& config,
+                        std::size_t lock_stripes = 0);
 
   std::size_t n_replicas() const { return replicas_.size(); }
 
@@ -172,15 +175,24 @@ class ReplicaFleet {
   /// sampling; see obs/timeseries.hpp).
   void sample_gauges(obs::TimeSeries& ts, double now) const;
 
+ protected:
+  /// Mutable replica session: the threaded runtime's workers step it
+  /// inside an epoch, while the driver is parked on the barrier.
+  llm::EngineSession& replica_session(std::size_t r) {
+    return replicas_[r]->session;
+  }
+  /// The sink bound by set_trace (null when untraced).
+  obs::TraceSink* trace() const { return trace_; }
+
  private:
   struct Replica {
     llm::ServingEngine engine;
     cache::PrefixCache cache;
     llm::EngineSession session;
 
-    explicit Replica(const FleetConfig& config)
+    Replica(const FleetConfig& config, std::size_t lock_stripes)
         : engine(llm::CostModel(config.model, config.gpu), config.engine),
-          cache(engine.make_session_cache()),
+          cache(engine.make_session_cache(lock_stripes)),
           session(engine, cache) {}
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
@@ -9,12 +10,13 @@
 #include "llm/cost_model.hpp"
 #include "llm/engine_session.hpp"
 #include "serve/online_driver.hpp"
+#include "serve/threaded_fleet.hpp"
 
 namespace llmq::serve {
 
 // Arrival indexing, prompt encoding, request materialization, completion
-// stitching, and finalization are shared with the threaded driver — see
-// serve/online_driver.hpp.
+// stitching, and finalization are shared by the single-engine loop and the
+// fleet loop — see serve/online_driver.hpp.
 using detail::ArrivalFeed;
 using detail::count_tenant;
 using detail::EncoderMap;
@@ -180,10 +182,19 @@ OnlineRunResult run_online_replicated(const table::Table& t,
   if (config.n_replicas == 0)
     throw std::invalid_argument(
         "run_online_replicated: n_replicas must be positive");
-  const std::size_t n_rep = config.n_replicas;
+  ReplicaFleet fleet(config.fleet());
+  return detail::run_fleet_online(t, fds, arrivals, config, fleet, nullptr);
+}
 
+namespace detail {
+
+OnlineRunResult run_fleet_online(const table::Table& t,
+                                 const table::FdSet& fds,
+                                 const std::vector<Arrival>& arrivals,
+                                 const OnlineConfig& config,
+                                 ReplicaFleet& fleet, ThreadedFleet* epochs) {
   OnlineRunResult out;
-  out.replicas.resize(n_rep);
+  out.replicas.resize(config.n_replicas);
   out.per_class = summarize_by_class({}, config.ttft_slo_seconds);
   if (arrivals.empty()) return out;
 
@@ -191,7 +202,6 @@ OnlineRunResult run_online_replicated(const table::Table& t,
   auto index_of = index_arrivals(t, arrivals);
 
   OnlineScheduler scheduler(t, fds, config.scheduler);
-  ReplicaFleet fleet(config.fleet());
   if (config.trace.sink) {
     fleet.set_trace(config.trace.sink);
     scheduler.set_trace(config.trace.sink);
@@ -237,6 +247,9 @@ OnlineRunResult run_online_replicated(const table::Table& t,
     }
   };
 
+  // Completions arrive in oracle order (one step's, or one epoch's merged
+  // by the barrier), so predictor observations and feedback-arrival id
+  // allocation are the same under both drivers.
   const auto record = [&](const llm::RequestResult& res) {
     const InFlight& f = inflight.at(res.id);
     ServedRequest sr = stitch(res, f);
@@ -263,6 +276,47 @@ OnlineRunResult run_online_replicated(const table::Table& t,
     }
   };
 
+  // The epoch cut (threaded driver only): the next virtual time anything
+  // observable can happen. Every source of window due-ness (and the
+  // sampling boundary) is represented; extra cuts would be harmless (the
+  // barrier replays the same feed/dispatch code the virtual driver runs
+  // every iteration), a missing one would break planned_at times. All
+  // sources are > `now` at the point of the call: boundaries were
+  // advanced past, due windows popped, and occurred arrivals fed.
+  const auto next_cut = [&]() {
+    double cut = std::numeric_limits<double>::infinity();
+    if (sampler.sampling()) cut = std::min(cut, sampler.next_boundary());
+    // Wait bound of the currently buffered window (covers later pushes
+    // too: the deadline is the *oldest* arrival's, so nothing buffered
+    // after it can tighten it).
+    cut = std::min(cut, scheduler.next_deadline());
+    const SchedulerOptions& sopt = scheduler.options();
+    if (tracker.active()) {
+      // Session streams: cut at every pending arrival, static or spawned.
+      // Coarser than the static lookaheads below but still exact — extra
+      // cuts are harmless, and a barrier at each arrival covers both a
+      // deadline start and a row-bound fill at that arrival. Turns not in
+      // the feed yet (their parent is still running) are handled by the
+      // epoch cap in the loop, not here.
+      return std::min(cut, feed.next_time());
+    }
+    const std::size_t n = arrivals.size();
+    const std::size_t next = feed.next_static();
+    if (next < n) {
+      // A future arrival entering an empty buffer starts a new deadline.
+      if (scheduler.buffered() == 0 && sopt.max_wait_seconds > 0)
+        cut = std::min(cut, arrivals[next].time + sopt.max_wait_seconds);
+      // The arrival that fills the row bound makes a window due at its
+      // own arrival time.
+      if (sopt.window_rows > 0) {
+        const std::size_t fill_idx =
+            next + (sopt.window_rows - scheduler.buffered()) - 1;
+        if (fill_idx < n) cut = std::min(cut, arrivals[fill_idx].time);
+      }
+    }
+    return cut;
+  };
+
   // ---- Merged event loop over the replicas' virtual clocks. ----
   while (!feed.exhausted() || scheduler.buffered() > 0 || fleet.any_work()) {
     // 0. Advance the merged clock to the execution frontier.
@@ -275,10 +329,27 @@ OnlineRunResult run_online_replicated(const table::Table& t,
     feed_due(now);
     // 2. Dispatch every due window (routing each request).
     while (auto w = scheduler.pop_ready(now)) dispatch(*w);
-    // 3. Execute: step the busy replica with the earliest clock.
+    // 3. Execute.
     if (fleet.any_work()) {
-      ReplicaFleet::StepResult st = fleet.step();
-      for (const llm::RequestResult& res : st.completed) record(res);
+      if (epochs == nullptr) {
+        // Virtual clock: step the busy replica with the earliest clock.
+        ReplicaFleet::StepResult st = fleet.step();
+        for (const llm::RequestResult& res : st.completed) record(res);
+        continue;
+      }
+      // Threaded: one parallel epoch up to the next observable event. A
+      // completion inside the epoch may spawn a follow-up turn that is not
+      // in the feed yet (it only materializes at this barrier's record),
+      // so the epoch is additionally capped at frontier + the smallest
+      // in-flight think-time gap: any such turn arrives strictly after
+      // its parent's finish plus that gap, hence strictly after the cap —
+      // it becomes a regular next_cut() source before any replica can
+      // step past it.
+      double limit = next_cut();
+      if (tracker.active())
+        limit = std::min(limit, now + tracker.min_inflight_gap());
+      for (const llm::RequestResult& res : epochs->run_epoch(limit))
+        record(res);
       continue;
     }
     // 4. Everything idle: jump to the next arrival or deadline, or drain.
@@ -307,5 +378,7 @@ OnlineRunResult run_online_replicated(const table::Table& t,
   }
   return out;
 }
+
+}  // namespace detail
 
 }  // namespace llmq::serve

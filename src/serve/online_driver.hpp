@@ -1,13 +1,15 @@
 #pragma once
 // Shared internals of the online serving drivers.
 //
-// run_online (the single-threaded virtual-clock oracle, online.cpp) and
-// run_online_threaded (the real-threads runtime, threaded_fleet.cpp) are
-// two execution engines for the same serving semantics; everything that
-// defines those semantics outside the event loop — arrival validation,
-// per-tenant prompt encoding, request materialization, completion
-// stitching, and result finalization — lives here so the two drivers
-// cannot drift apart. Internal to src/serve; not part of the public API.
+// run_online's single-engine loop (online.cpp) is the reference the fleet
+// is pinned against at n_replicas == 1; run_fleet_online is the one fleet
+// event loop, which run_online_replicated (virtual clock) and
+// run_online_threaded (real threads, threaded_fleet.cpp) both run.
+// Everything that defines the serving semantics outside the loop —
+// arrival validation, per-tenant prompt encoding, request
+// materialization, completion stitching, and result finalization — lives
+// here so the loops cannot drift apart. Internal to src/serve; not part
+// of the public API.
 
 #include <cstdint>
 #include <optional>
@@ -17,6 +19,10 @@
 #include <vector>
 
 #include "serve/online.hpp"
+
+namespace llmq::serve {
+class ThreadedFleet;  // threaded_fleet.hpp
+}  // namespace llmq::serve
 
 namespace llmq::serve::detail {
 
@@ -52,7 +58,7 @@ class ArrivalFeed {
   bool exhausted() const { return next_ >= statics_->size() && heap_.empty(); }
 
   /// Index of the next unfed static arrival (== size when drained) — the
-  /// threaded runtime's static-stream lookaheads key off this.
+  /// threaded driver's static-stream epoch cuts key off this.
   std::size_t next_static() const { return next_; }
 
   /// Time of the next arrival from either source; +infinity when drained.
@@ -72,7 +78,7 @@ class ArrivalFeed {
   std::vector<Arrival> heap_;  // min-heap on (time, id)
 };
 
-/// Session follow-up engine, shared verbatim by all three drivers so the
+/// Session follow-up engine, shared verbatim by every driver so the
 /// feedback stream they spawn is identical. Lifecycle per spawning
 /// arrival: on_dispatch (remember the parent's prompt + register its
 /// think-time gap) -> on_complete (materialize the child arrival at
@@ -109,7 +115,7 @@ class SessionTracker {
                                         std::span<const std::size_t> fo);
 
   /// Smallest finish->arrival gap among dispatched-but-unfinished
-  /// spawning requests; +infinity when none. The threaded runtime caps
+  /// spawning requests; +infinity when none. The threaded driver caps
   /// every epoch at frontier + this so a turn born mid-epoch matures
   /// strictly after the barrier (the feedback-arrival clock rule,
   /// DESIGN.md §12) — keeping the epoch cut set a superset of all
@@ -177,5 +183,16 @@ void finalize_emitted(OnlineRunResult& out, const table::Table& t,
                       const OnlineConfig& config,
                       std::vector<std::size_t> emitted_rows,
                       std::vector<std::vector<std::size_t>> emitted_fields);
+
+/// The fleet event loop: frontier -> gauge sample -> feed -> dispatch due
+/// windows -> execute -> idle jump / final flush. With `epochs` null the
+/// execute step is fleet.step() (the virtual-clock oracle); otherwise
+/// `epochs` is `fleet` itself and each execute step is one run_epoch up to
+/// the next observable event — the only place the two drivers differ.
+OnlineRunResult run_fleet_online(const table::Table& t,
+                                 const table::FdSet& fds,
+                                 const std::vector<Arrival>& arrivals,
+                                 const OnlineConfig& config,
+                                 ReplicaFleet& fleet, ThreadedFleet* epochs);
 
 }  // namespace llmq::serve::detail

@@ -1,42 +1,17 @@
 #include "serve/threaded_fleet.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <exception>
+#include <iterator>
 #include <stdexcept>
-#include <tuple>
-#include <unordered_map>
 
-#include "llm/cost_model.hpp"
 #include "serve/online_driver.hpp"
-#include "serve/scheduler.hpp"
 
 namespace llmq::serve {
 
 ThreadedFleet::ThreadedFleet(const FleetConfig& config,
                              ThreadedFleetOptions options)
-    : router_(config.router,
-              config.elasticity.enabled
-                  ? config.elasticity.ceiling(config.n_replicas)
-                  : (config.n_replicas ? config.n_replicas : 1)),
-      elastic_(config.elasticity),
-      block_size_(config.engine.block_size) {
-  if (config.n_replicas == 0)
-    throw std::invalid_argument("ThreadedFleet: n_replicas must be positive");
-  const std::size_t total = elastic_.enabled
-                                ? elastic_.ceiling(config.n_replicas)
-                                : config.n_replicas;
-  replicas_.reserve(total);
-  for (std::size_t r = 0; r < total; ++r)
-    replicas_.push_back(std::make_unique<Replica>(config, options));
-  counters_.resize(total);
-  clock_view_.assign(total, 0.0);
-  busy_view_.assign(total, 0);
-  outstanding_view_.assign(total, 0);
-  active_.assign(total, 0);
-  draining_.assign(total, 0);
-  for (std::size_t r = 0; r < config.n_replicas; ++r) active_[r] = 1;
-
+    : ReplicaFleet(config, options.cache_lock_stripes) {
   // Thread cap: leave one core for the driver, never exceed one worker
   // per replica. Replica i belongs to worker i % T.
   std::size_t cap = options.max_threads;
@@ -44,15 +19,20 @@ ThreadedFleet::ThreadedFleet(const FleetConfig& config,
     const unsigned hc = std::thread::hardware_concurrency();
     cap = hc > 1 ? static_cast<std::size_t>(hc) - 1 : 1;
   }
-  const std::size_t n_workers = std::min(total, cap);
+  const std::size_t n_workers = std::min(n_replicas(), cap);
   workers_.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w)
-    workers_.push_back(std::make_unique<Worker>(options.inbox_capacity, total));
-  for (std::size_t r = 0; r < total; ++r)
-    workers_[r % n_workers]->owned.push_back(replicas_[r].get());
-  // Spawn threads only once every Worker is at its final address.
-  for (auto& w : workers_)
-    w->thread = std::thread(&ThreadedFleet::worker_main, std::ref(*w));
+    workers_.push_back(std::make_unique<Worker>());
+  for (std::size_t r = 0; r < n_replicas(); ++r) owner(r).owned.push_back(r);
+  // Spawn threads only once every Worker is at its final address. A failed
+  // spawn must not leave the started ones unjoined.
+  try {
+    for (auto& w : workers_)
+      w->thread = std::thread(&ThreadedFleet::work, this, std::ref(*w));
+  } catch (...) {
+    shutdown();
+    throw;
+  }
 }
 
 ThreadedFleet::~ThreadedFleet() { shutdown(); }
@@ -60,351 +40,82 @@ ThreadedFleet::~ThreadedFleet() { shutdown(); }
 void ThreadedFleet::shutdown() {
   if (stopped_) return;
   stopped_ = true;
-  for (auto& w : workers_) {
-    WorkerMsg stop;
-    stop.kind = WorkerMsg::Kind::Stop;
-    w->inbox.push(std::move(stop));
-  }
+  for (auto& w : workers_) w->inbox.push({WorkerMsg::Kind::Stop, 0.0});
   for (auto& w : workers_)
     if (w->thread.joinable()) w->thread.join();
 }
 
-void ThreadedFleet::set_trace(obs::OrderedTraceMerger* merger) {
-  if (!merger || !merger->enabled()) return;
-  merger_ = merger;
-  // Workers are parked on empty inboxes and have not touched their
-  // sessions yet; the first inbox push publishes these writes to them.
-  for (std::size_t r = 0; r < replicas_.size(); ++r)
-    replicas_[r]->session.set_trace(&replicas_[r]->local_trace,
-                                    static_cast<std::uint32_t>(r));
-}
-
-void ThreadedFleet::worker_main(Worker& w) {
+void ThreadedFleet::work(Worker& w) {
   WorkerMsg m;
-  while (w.inbox.pop(m)) {
-    if (m.kind == WorkerMsg::Kind::Stop) return;
-    Replica& r = *m.rep;  // a slot this worker owns
-    switch (m.kind) {
-      case WorkerMsg::Kind::Stop:
-        return;  // handled above; keeps -Wswitch exhaustive
-      case WorkerMsg::Kind::Submit: {
-        StepRec rec;
-        rec.is_submit = true;
-        rec.id = m.req.id;
-        rec.trace_begin = r.local_trace.size();
-        // Mirror of ReplicaFleet::dispatch admission: an idle replica is
-        // parked at its last activity; bring it to the dispatch instant
-        // so admission cannot happen in the past.
-        if (!r.session.has_work()) r.session.advance_to(m.time);
-        r.session.submit(std::move(m.req));
-        rec.trace_end = r.local_trace.size();
-        r.recs.push_back(std::move(rec));
-        break;
-      }
-      case WorkerMsg::Kind::Run: {
+  while (w.inbox.pop(m) && m.kind == WorkerMsg::Kind::Run) {
+    obs::TraceSink* sink = trace();
+    EpochReport report;
+    try {
+      for (std::size_t r : w.owned) {
+        llm::EngineSession& session = replica_session(r);
+        if (!session.has_work() || session.now() >= m.limit) continue;
+        const auto track = static_cast<std::uint32_t>(r);
+        if (sink) session.set_trace(&w.log, track);
         // Step until the session clock first reaches the epoch limit —
         // exactly the per-replica stepping the sequential argmin-clock
         // rule performs before the frontier crosses that limit.
-        while (r.session.has_work() && r.session.now() < m.time) {
+        do {
           StepRec rec;
-          rec.pre_clock = r.session.now();
-          rec.trace_begin = r.local_trace.size();
-          llm::EngineSession::StepEvents ev = r.session.step();
-          rec.trace_end = r.local_trace.size();
-          rec.completed = std::move(ev.completed);
-          r.recs.push_back(std::move(rec));
-        }
-        EpochReport rep;
-        rep.replica = m.replica;
-        rep.recs = std::move(r.recs);
-        r.recs = std::vector<StepRec>();
-        rep.clock = r.session.now();
-        rep.has_work = r.session.has_work();
-        rep.outstanding = r.session.outstanding_prompt_tokens();
-        w.outbox.push(std::move(rep));
-        break;
+          rec.pre_clock = session.now();
+          rec.replica = r;
+          rec.trace_begin = w.log.size();
+          rec.completed = session.step().completed;
+          rec.trace_end = w.log.size();
+          report.steps.push_back(std::move(rec));
+        } while (session.has_work() && session.now() < m.limit);
+        if (sink) session.set_trace(sink, track);
       }
+    } catch (...) {
+      report.error = std::current_exception();
     }
+    w.outbox.push(std::move(report));
   }
-}
-
-std::size_t ThreadedFleet::active_replicas() const {
-  std::size_t n = 0;
-  for (char a : active_) n += a ? 1u : 0u;
-  return n;
-}
-
-void ThreadedFleet::complete_migrations(double now) {
-  // Driver-thread mirror of ReplicaFleet::complete_migrations. Dispatch
-  // runs in barrier context — workers only enqueue submits between
-  // barriers, never touch their caches — and the caches are striped, so
-  // these cache calls race with nothing.
-  for (std::size_t i = 0; i < pending_.size();) {
-    PendingMigration& m = pending_[i];
-    if (m.land_time > now) {
-      ++i;
-      continue;
-    }
-    cache::PrefixCache& dst = replicas_[m.recipient]->cache;
-    for (const tokenizer::TokenSeq& p : m.batch.prefixes) dst.admit_migrated(p);
-    if (merger_)
-      merger_->emit({obs::EventKind::PrefixMigrate, 0, obs::kGlobalTrack,
-                     now, 0, m.batch.blocks, m.donor, m.recipient});
-    replicas_[m.donor]->cache.end_migration(m.batch);
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-  }
-}
-
-void ThreadedFleet::maybe_scale(double now) {
-  // Mirror of ReplicaFleet::maybe_scale over the driver-side session
-  // mirrors (exact at dispatch points), so both runtimes take the same
-  // decision at the same request — the bit-identity contract.
-  complete_migrations(now);
-  for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    if (!draining_[r] || busy_view_[r]) continue;
-    bool migrating = false;
-    for (const PendingMigration& m : pending_)
-      migrating |= (m.donor == r || m.recipient == r);
-    if (migrating) continue;
-    draining_[r] = 0;
-    active_[r] = 0;
-    if (merger_)
-      merger_->emit({obs::EventKind::ReplicaDrain, 0, obs::kGlobalTrack, now,
-                     0, active_replicas(), 0, 0});
-  }
-  if (now - last_scale_ < elastic_.cooldown_seconds) return;
-  std::size_t serving = 0, outstanding = 0;
-  for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    if (!active_[r] || draining_[r]) continue;
-    ++serving;
-    outstanding += outstanding_view_[r];
-  }
-  if (serving == 0) return;
-  const double mean =
-      static_cast<double>(outstanding) / static_cast<double>(serving);
-  if (elastic_.high_watermark_tokens > 0 &&
-      mean > static_cast<double>(elastic_.high_watermark_tokens)) {
-    std::size_t spawn = replicas_.size();
-    for (std::size_t r = 0; r < replicas_.size(); ++r)
-      if (!active_[r]) {
-        spawn = r;
-        break;
-      }
-    if (spawn == replicas_.size()) return;  // at the ceiling
-    active_[spawn] = 1;
-    last_scale_ = now;
-    bool warmed = false;
-    if (elastic_.migrate_max_blocks > 0) {
-      std::size_t donor = replicas_.size(), donor_out = 0;
-      for (std::size_t r = 0; r < replicas_.size(); ++r) {
-        if (!active_[r] || draining_[r] || r == spawn) continue;
-        const std::size_t o = outstanding_view_[r];
-        if (donor == replicas_.size() || o > donor_out) {
-          donor = r;
-          donor_out = o;
-        }
-      }
-      if (donor < replicas_.size()) {
-        cache::PrefixCache::MigrationBatch batch =
-            replicas_[donor]->cache.begin_migration(
-                elastic_.migrate_max_blocks);
-        if (batch.blocks > 0) {
-          const double land =
-              now + replicas_[donor]->engine.cost_model().promote_seconds(
-                        batch.blocks, 0, block_size_);
-          warmed = true;
-          pending_.push_back({donor, spawn, std::move(batch), land});
-        } else {
-          replicas_[donor]->cache.end_migration(batch);
-        }
-      }
-    }
-    if (merger_)
-      merger_->emit({obs::EventKind::ReplicaSpawn, 0, obs::kGlobalTrack, now,
-                     0, active_replicas(), warmed ? 1u : 0u, 0});
-    return;
-  }
-  if (elastic_.low_watermark_tokens > 0 && serving > elastic_.min_replicas &&
-      mean < static_cast<double>(elastic_.low_watermark_tokens)) {
-    for (std::size_t r = replicas_.size(); r-- > 0;) {
-      if (active_[r] && !draining_[r]) {
-        draining_[r] = 1;
-        last_scale_ = now;
-        break;
-      }
-    }
-  }
-}
-
-std::size_t ThreadedFleet::dispatch(llm::Request req, std::uint32_t tenant,
-                                    double now) {
-  if (elastic_.enabled) maybe_scale(now);
-  const std::size_t n_rep = replicas_.size();
-  views_.resize(n_rep);
-  for (std::size_t r = 0; r < n_rep; ++r) {
-    views_[r].cache = &replicas_[r]->cache;
-    // The mirror equals session.outstanding_prompt_tokens() at sequential
-    // dispatch time: barrier value plus this barrier's earlier submits.
-    views_[r].outstanding_prompt_tokens = outstanding_view_[r];
-    views_[r].draining = !active_[r] || draining_[r] != 0;
-  }
-  const std::size_t target = router_.route(req.prompt, tenant, views_);
-  if (merger_) {
-    merger_->emit({obs::EventKind::RouteDecision,
-                   static_cast<std::uint8_t>(req.priority), obs::kGlobalTrack,
-                   now, req.id, target, views_[target].cache->peek(req.prompt),
-                   views_[target].outstanding_prompt_tokens});
-    // The matching Enqueue is emitted by the worker when it processes the
-    // Submit; reserve its slot here so the merged stream interleaves
-    // RouteDecision/Enqueue exactly like the sequential one.
-    merger_->placeholder(req.id);
-  }
-  // advance_to mirror for the clock view (the worker does the real one).
-  if (!busy_view_[target])
-    clock_view_[target] = std::max(clock_view_[target], now);
-  busy_view_[target] = 1;
-  counters_[target].routed_prompt_tokens += req.prompt.size();
-  ++counters_[target].requests;
-  outstanding_view_[target] += req.prompt.size();
-
-  WorkerMsg msg;
-  msg.kind = WorkerMsg::Kind::Submit;
-  msg.rep = replicas_[target].get();
-  msg.replica = target;
-  msg.req = std::move(req);
-  msg.time = now;
-  owner(target).inbox.push(std::move(msg));
-
-  // Outstanding-load imbalance over the active set, sampled after every
-  // routing decision — post-submit values, as in ReplicaFleet::dispatch.
-  std::size_t max_out = 0, sum_out = 0, n_act = 0;
-  for (std::size_t r = 0; r < n_rep; ++r) {
-    if (!active_[r]) continue;
-    const std::size_t o = outstanding_view_[r];
-    max_out = std::max(max_out, o);
-    sum_out += o;
-    ++n_act;
-  }
-  const double mean_out =
-      static_cast<double>(sum_out) / static_cast<double>(n_act);
-  imbalance_sum_ += static_cast<double>(max_out) / mean_out;
-  ++imbalance_samples_;
-  return target;
-}
-
-bool ThreadedFleet::any_work() const {
-  for (char b : busy_view_)
-    if (b) return true;
-  return false;
-}
-
-double ThreadedFleet::frontier(double now) const {
-  const std::size_t n_rep = replicas_.size();
-  std::size_t best = n_rep;
-  for (std::size_t r = 0; r < n_rep; ++r) {
-    if (!busy_view_[r]) continue;
-    if (best == n_rep || clock_view_[r] < clock_view_[best]) best = r;
-  }
-  if (best < n_rep) return std::max(now, clock_view_[best]);
-  for (std::size_t r = 0; r < n_rep; ++r) now = std::max(now, clock_view_[r]);
-  return now;
 }
 
 std::vector<llm::RequestResult> ThreadedFleet::run_epoch(double t_limit) {
-  const std::size_t n_rep = replicas_.size();
-  for (std::size_t r = 0; r < n_rep; ++r) {
-    WorkerMsg run;
-    run.kind = WorkerMsg::Kind::Run;
-    run.rep = replicas_[r].get();
-    run.replica = r;
-    run.time = t_limit;
-    owner(r).inbox.push(std::move(run));
-  }
-  // The barrier: one report per replica slot, collected worker by worker
-  // (reports carry their replica tag, so collection order is free). After
-  // its last report a worker is parked on an empty inbox, so the driver
-  // may touch its sessions, caches, and trace buffers until the next
-  // message is pushed.
-  std::vector<EpochReport> reports(n_rep);
+  for (auto& w : workers_) w->inbox.push({WorkerMsg::Kind::Run, t_limit});
+  // The barrier: one report per worker. After reporting, a worker is
+  // parked on its empty inbox, so the driver owns every replica and every
+  // worker's trace log again until the next push.
+  std::vector<StepRec> recs;
+  std::exception_ptr error;
   for (auto& w : workers_) {
-    for (std::size_t k = 0; k < w->owned.size(); ++k) {
-      EpochReport rep;
-      if (!w->outbox.pop(rep))
-        throw std::logic_error("ThreadedFleet: worker exited mid-epoch");
-      reports[rep.replica] = std::move(rep);
-    }
+    EpochReport report;
+    if (!w->outbox.pop(report))
+      throw std::logic_error("ThreadedFleet: worker exited mid-epoch");
+    if (report.error && !error) error = report.error;
+    std::move(report.steps.begin(), report.steps.end(),
+              std::back_inserter(recs));
   }
-
-  // 1. Fill the Enqueue placeholders reserved at dispatch (keyed by
-  // request id — slot order was fixed then, so fill order is free).
-  if (merger_) {
-    for (std::size_t r = 0; r < n_rep; ++r) {
-      const auto& events = replicas_[r]->local_trace.events();
-      for (const StepRec& rec : reports[r].recs) {
-        if (!rec.is_submit) continue;
-        merger_->fill(rec.id, events.data() + rec.trace_begin,
-                      events.data() + rec.trace_end);
-      }
-    }
-  }
-
-  // 2. Merge step records into oracle order: (pre-step clock, replica
-  // index, per-replica chronological order). stable_sort on the first two
-  // keys preserves the third — each replica's records are appended in
-  // execution order.
-  std::vector<std::pair<double, std::pair<std::size_t, std::size_t>>> order;
-  for (std::size_t r = 0; r < n_rep; ++r)
-    for (std::size_t i = 0; i < reports[r].recs.size(); ++i)
-      if (!reports[r].recs[i].is_submit)
-        order.push_back({reports[r].recs[i].pre_clock, {r, i}});
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) {
-                     if (a.first != b.first) return a.first < b.first;
-                     return a.second.first < b.second.first;
+  if (error) std::rethrow_exception(error);
+  // Oracle order: (pre-step clock, replica index, per-replica order). A
+  // worker reports each replica's steps contiguously and in execution
+  // order, so the stable sort on the first two keys preserves the third.
+  std::stable_sort(recs.begin(), recs.end(),
+                   [](const StepRec& a, const StepRec& b) {
+                     if (a.pre_clock != b.pre_clock)
+                       return a.pre_clock < b.pre_clock;
+                     return a.replica < b.replica;
                    });
-
+  obs::TraceSink* sink = trace();
   std::vector<llm::RequestResult> completed;
-  for (const auto& [clock, ri] : order) {
-    (void)clock;
-    StepRec& rec = reports[ri.first].recs[ri.second];
-    if (merger_) {
-      const auto& events = replicas_[ri.first]->local_trace.events();
-      merger_->append(events.data() + rec.trace_begin,
-                      events.data() + rec.trace_end);
+  for (StepRec& rec : recs) {
+    if (sink) {
+      const auto& events = owner(rec.replica).log.events();
+      for (std::size_t i = rec.trace_begin; i < rec.trace_end; ++i)
+        sink->emit(events[i]);
     }
     for (llm::RequestResult& res : rec.completed)
       completed.push_back(std::move(res));
   }
-
-  // 3. Refresh the driver-side mirrors and recycle the trace buffers
-  // (their spans are consumed; clearing before the next dispatch keeps
-  // worker-side indices consistent with what the driver will read).
-  for (std::size_t r = 0; r < n_rep; ++r) {
-    clock_view_[r] = reports[r].clock;
-    busy_view_[r] = reports[r].has_work ? 1 : 0;
-    outstanding_view_[r] = reports[r].outstanding;
-    replicas_[r]->local_trace.clear();
-  }
+  if (sink)
+    for (auto& w : workers_) w->log.clear();
   return completed;
-}
-
-void ThreadedFleet::sample_gauges(obs::TimeSeries& ts, double now) const {
-  for (std::size_t r = 0; r < replicas_.size(); ++r)
-    ts.append(now, static_cast<std::uint32_t>(r),
-              replicas_[r]->session.gauges());
-}
-
-std::vector<ReplicaMetrics> ThreadedFleet::replica_metrics() const {
-  std::vector<ReplicaMetrics> out = counters_;
-  for (std::size_t r = 0; r < replicas_.size(); ++r)
-    out[r].engine = replicas_[r]->session.metrics();
-  return out;
-}
-
-double ThreadedFleet::load_imbalance() const {
-  return imbalance_samples_
-             ? imbalance_sum_ / static_cast<double>(imbalance_samples_)
-             : 1.0;
 }
 
 OnlineRunResult run_online_threaded(const table::Table& t,
@@ -415,187 +126,8 @@ OnlineRunResult run_online_threaded(const table::Table& t,
   if (config.n_replicas == 0)
     throw std::invalid_argument(
         "run_online_threaded: n_replicas must be positive");
-  const std::size_t n_rep = config.n_replicas;
-
-  OnlineRunResult out;
-  out.replicas.resize(n_rep);
-  out.per_class = summarize_by_class({}, config.ttft_slo_seconds);
-  if (arrivals.empty()) return out;
-
-  detail::validate_sessions(config, arrivals);
-  auto index_of = detail::index_arrivals(t, arrivals);
-
-  OnlineScheduler scheduler(t, fds, config.scheduler);
   ThreadedFleet fleet(config.fleet(), options);
-  obs::OrderedTraceMerger merger(config.trace.sink);
-  if (config.trace.sink) {
-    fleet.set_trace(&merger);
-    scheduler.set_trace(&merger);
-  }
-  obs::SampleClock sampler(config.trace.sampling() ? config.trace.timeseries
-                                                   : nullptr,
-                           config.trace.sample_interval_seconds);
-  const llm::TaskModel task_model(config.model_profile);
-  detail::EncoderMap encoders(config.prompt);
-  LengthPredictor predictor(config.predictor);
-  scheduler.set_predictor(&predictor);
-  detail::SessionTracker tracker(config.sessions);
-  detail::ArrivalFeed feed(arrivals);
-  std::vector<Arrival> spawned;  // feedback arrivals, in spawn order
-
-  std::unordered_map<std::uint64_t, detail::InFlight> inflight;
-  std::vector<std::size_t> emitted_rows;
-  std::vector<std::vector<std::size_t>> emitted_fields;
-  emitted_rows.reserve(arrivals.size());
-  emitted_fields.reserve(arrivals.size());
-
-  double now = 0.0;
-  const std::size_t n = arrivals.size();
-
-  const auto dispatch = [&](const Window& w) {
-    ++out.windows;
-    out.solve_seconds += w.solve_seconds;
-    for (std::size_t i = 0; i < w.arrivals.size(); ++i) {
-      const Arrival& a = w.arrivals[i];
-      const std::vector<std::size_t>& fo = w.field_orders[i];
-      tokenizer::TokenSeq prompt =
-          a.turn > 0 ? tracker.make_child_prompt(a, t, fo)
-                     : encoders.for_tenant(a.tenant).encode(t, a.row, fo);
-      llm::Request req =
-          detail::make_request(a, std::move(prompt), task_model, config,
-                               &predictor);
-      tracker.on_dispatch(a, req.prompt);
-      const std::size_t target = fleet.dispatch(std::move(req), a.tenant, now);
-      inflight.emplace(a.id, detail::InFlight{a, w.planned_at, target});
-      emitted_rows.push_back(index_of.at(a.id));
-      emitted_fields.push_back(fo);
-    }
-  };
-
-  // Completions arrive here in oracle (merged) order at epoch barriers, so
-  // predictor observations and feedback-arrival id allocation match the
-  // sequential drivers exactly.
-  const auto record = [&](const llm::RequestResult& res) {
-    const detail::InFlight& f = inflight.at(res.id);
-    ServedRequest sr = detail::stitch(res, f);
-    detail::count_tenant(out.per_tenant, sr.tenant);
-    out.requests.push_back(sr);
-    if (predictor.enabled())
-      predictor.observe(f.arrival.tenant, res.output_tokens);
-    if (auto child = tracker.on_complete(f.arrival, res)) {
-      index_of.emplace(child->id, arrivals.size() + spawned.size());
-      spawned.push_back(*child);
-      feed.push_feedback(*child);
-    }
-    inflight.erase(res.id);
-  };
-
-  const auto feed_due = [&](double t_now) {
-    while (!feed.exhausted() && feed.next_time() <= t_now) {
-      const Arrival a = feed.pop();
-      if (a.turn > 0 && config.trace.sink)
-        merger.emit({obs::EventKind::TurnSpawn,
-                     static_cast<std::uint8_t>(a.priority), obs::kGlobalTrack,
-                     a.time, a.id, a.session, a.turn, a.parent});
-      scheduler.push(a);
-    }
-  };
-
-  // Next virtual time anything observable can happen — the epoch cut.
-  // Every source of window due-ness (and the sampling boundary) is
-  // represented; extra cuts would be harmless (the barrier replays the
-  // same feed/dispatch code the sequential loop runs every iteration), a
-  // missing one would break planned_at times. All sources are > `now`
-  // at the point of the call: boundaries were advanced past, due windows
-  // popped, and occurred arrivals fed.
-  const auto next_cut = [&]() {
-    double cut = std::numeric_limits<double>::infinity();
-    if (sampler.sampling()) cut = std::min(cut, sampler.next_boundary());
-    // Wait bound of the currently buffered window (covers later pushes
-    // too: the deadline is the *oldest* arrival's, so nothing buffered
-    // after it can tighten it).
-    cut = std::min(cut, scheduler.next_deadline());
-    const SchedulerOptions& sopt = scheduler.options();
-    if (tracker.active()) {
-      // Session streams: cut at every pending arrival, static or spawned.
-      // Coarser than the static lookaheads below but still exact — extra
-      // cuts are harmless, and a barrier at each arrival covers both a
-      // deadline start and a row-bound fill at that arrival. Turns not in
-      // the feed yet (their parent is still running) are handled by the
-      // run_epoch cap below, not here.
-      cut = std::min(cut, feed.next_time());
-      return cut;
-    }
-    const std::size_t next = feed.next_static();
-    if (next < n) {
-      // A future arrival entering an empty buffer starts a new deadline.
-      if (scheduler.buffered() == 0 && sopt.max_wait_seconds > 0)
-        cut = std::min(cut, arrivals[next].time + sopt.max_wait_seconds);
-      // The arrival that fills the row bound makes a window due at its
-      // own arrival time.
-      if (sopt.window_rows > 0) {
-        const std::size_t fill_idx =
-            next + (sopt.window_rows - scheduler.buffered()) - 1;
-        if (fill_idx < n) cut = std::min(cut, arrivals[fill_idx].time);
-      }
-    }
-    return cut;
-  };
-
-  // ---- Barrier loop: same event order as the sequential merged loop,
-  // with contiguous stepping runs delegated to the workers. ----
-  while (!feed.exhausted() || scheduler.buffered() > 0 || fleet.any_work()) {
-    // 0. Advance the merged clock to the execution frontier.
-    now = fleet.frontier(now);
-    if (sampler.due(now)) {
-      fleet.sample_gauges(*sampler.series(), now);
-      sampler.advance_past(now);
-    }
-    // 1. Feed arrivals that have occurred (static stream + spawned turns).
-    feed_due(now);
-    // 2. Dispatch every due window (routing each request).
-    while (auto w = scheduler.pop_ready(now)) dispatch(*w);
-    // 3. Execute one epoch up to the next observable event. A completion
-    // inside the epoch may spawn a follow-up turn that is not in the feed
-    // yet (it only materializes at this barrier's record), so the epoch is
-    // additionally capped at frontier + the smallest in-flight think-time
-    // gap: any such turn arrives strictly after its parent's finish plus
-    // that gap, hence strictly after the cap — it becomes a regular
-    // next_cut() source before any worker can step past it.
-    if (fleet.any_work()) {
-      double limit = next_cut();
-      if (tracker.active())
-        limit = std::min(limit, now + tracker.min_inflight_gap());
-      for (const llm::RequestResult& res : fleet.run_epoch(limit)) record(res);
-      continue;
-    }
-    // 4. Everything idle: jump to the next arrival or deadline, or drain.
-    double t_next = std::min(scheduler.next_deadline(), feed.next_time());
-    if (std::isfinite(t_next)) {
-      now = std::max(now, t_next);
-    } else if (auto w = scheduler.flush(now)) {
-      // Stream over, no deadline pending: drain the partial window.
-      dispatch(*w);
-    } else {
-      break;  // defensive: no arrivals, no buffer, no work
-    }
-  }
-
-  fleet.shutdown();
-  out.replicas = fleet.replica_metrics();
-  out.engine = aggregate_replica_engines(out.replicas);
-  out.load_imbalance = fleet.load_imbalance();
-  merger.finish();
-  if (spawned.empty()) {
-    detail::finalize_emitted(out, t, arrivals, config, std::move(emitted_rows),
-                             std::move(emitted_fields));
-  } else {
-    std::vector<Arrival> all = arrivals;
-    all.insert(all.end(), spawned.begin(), spawned.end());
-    detail::finalize_emitted(out, t, all, config, std::move(emitted_rows),
-                             std::move(emitted_fields));
-  }
-  return out;
+  return detail::run_fleet_online(t, fds, arrivals, config, fleet, &fleet);
 }
 
 }  // namespace llmq::serve

@@ -1,253 +1,150 @@
 #pragma once
-// Real-threads fleet runtime: a capped pool of worker threads (by default
-// hardware_concurrency - 1, at most one per replica) driven in
-// deterministic epochs, bit-identical to the virtual-clock oracle.
+// Real-threads fleet runtime: a ReplicaFleet whose replicas a capped pool
+// of worker threads (by default hardware_concurrency - 1, at most one per
+// replica) steps in parallel, in deterministic epochs, bit-identical to the
+// virtual-clock oracle.
 //
 // ReplicaFleet (fleet.hpp) interleaves N replica sessions on one OS
 // thread by always stepping the busy replica with the earliest virtual
-// clock. ThreadedFleet runs the same N sessions on N worker threads and
-// recovers the exact same execution — every result field, ledger, trace
-// byte, and gauge row — from the following protocol:
+// clock. ThreadedFleet IS that fleet — routing, submission, elasticity,
+// migration landing, gauges and metrics all run ReplicaFleet's own code on
+// the driver thread — plus run_epoch, which hands the stepping to the
+// workers and recovers the exact same execution (every result field,
+// ledger, trace byte, and gauge row) from the following protocol:
 //
-//   Ownership. Each worker thread exclusively owns its replicas'
-//   ServingEngine, EngineSession, and TraceLog between barriers (a worker
-//   owns every replica index congruent to it modulo the thread count and
-//   services them sequentially — multiplexing changes wall-clock
-//   parallelism only, never the per-replica execution). The
-//   driver thread owns the scheduler, router, arrival stream, sample
-//   clock, result assembly, and per-replica mirrors of each session's
-//   (clock, busy, outstanding-tokens) state. The PrefixCache is the one
-//   shared structure: workers mutate it inside step(), the driver probes
-//   it (const peek) while routing — which is why the threaded fleet
-//   builds its caches with lock striping (cache/prefix_cache.hpp).
+//   Ownership. The driver owns every replica between epochs. A worker owns
+//   its replicas (every index congruent to it modulo the thread count,
+//   serviced in ascending order) only inside run_epoch, and run_epoch
+//   blocks the driver until every worker has reported — so no session,
+//   cache, or trace sink is ever touched by two threads at once. The
+//   inbox/outbox handoff (util/mpsc_queue.hpp) is the happens-before edge
+//   in both directions.
 //
-//   Queues. Per replica, a bounded MPSC inbox of {Submit, RunUntil,
-//   Stop} messages and an outbox of epoch reports (util/mpsc_queue.hpp).
-//   Inbox FIFO order is load-bearing: Submits dispatched at a barrier
-//   precede the RunUntil that opens the next epoch, so a worker admits
-//   exactly what the sequential loop would have admitted before stepping.
-//
-//   Epochs. The driver computes the next virtual time T at which
-//   anything observable can happen — a window deadline, the arrival that
-//   fills a row-bound window, a fresh deadline started by an arrival
-//   entering an empty buffer, or a gauge-sampling boundary — and tells
-//   every worker to RunUntil(T). A worker steps while it has work and
-//   its clock is < T, then reports. This reproduces the sequential
-//   argmin-clock rule exactly: under that rule a replica at clock >= T is
-//   never stepped while any busy replica is < T, so by the first frontier
-//   >= T every busy replica has been stepped precisely until its clock
-//   first reached >= T — which is the worker's loop condition. Arrivals
-//   between barriers are fed lazily at the next barrier; that is safe
-//   because buffering an arrival is unobservable until it changes window
-//   due-ness, and every due-change time is an epoch cut.
+//   Epochs. The driver computes the next virtual time T at which anything
+//   observable can happen — a window deadline, the arrival that fills a
+//   row-bound window, a fresh deadline started by an arrival entering an
+//   empty buffer, or a gauge-sampling boundary — and calls run_epoch(T).
+//   A worker steps each owned replica while it has work and its clock is
+//   < T. This reproduces the sequential argmin-clock rule exactly: under
+//   that rule a replica at clock >= T is never stepped while any busy
+//   replica is < T, so by the first frontier >= T every busy replica has
+//   been stepped precisely until its clock first reached >= T — which is
+//   the worker's loop condition. Arrivals between epochs are fed lazily at
+//   the next barrier; that is safe because buffering an arrival is
+//   unobservable until it changes window due-ness, and every due-change
+//   time is an epoch cut.
 //
 //   Merge. Steps are globally ordered by (pre-step clock, replica index,
 //   per-replica order) — the exact order the argmin rule with its
-//   lowest-index tiebreak produces — so completions, result vectors, and
-//   per-class ledgers assemble identically. Trace canonicality uses the
-//   same order plus an ordered slot merger (obs/trace_merge.hpp): driver
-//   events flow straight through, worker Enqueue events fill
-//   placeholder slots reserved at dispatch, and merged step spans are
-//   appended at each barrier.
+//   lowest-index tiebreak produces — so completions and per-class ledgers
+//   assemble identically. Sessions emit to the run's sink whenever the
+//   driver calls into them and to their worker's private TraceLog only
+//   inside an epoch; the barrier appends the merged step spans to the
+//   sink, which keeps trace bytes canonical.
 //
 // The virtual clock stays the oracle: simulated metrics never come from
-// wall time, so the threaded runtime adds real parallelism (benchmarked
-// wall-clock throughput in bench_threaded_fleet) without perturbing a
-// single simulated number — the equivalence is property-tested across
+// wall time, so the threaded runtime changes only how fast the simulation
+// runs (bench_threaded_fleet) — the equivalence is property-tested across
 // replicas x preemption x chunking x seeds in tests/threaded/.
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "llm/engine.hpp"
-#include "llm/engine_session.hpp"
-#include "obs/trace_merge.hpp"
+#include "obs/trace.hpp"
+#include "serve/fleet.hpp"
 #include "serve/online.hpp"
 #include "util/mpsc_queue.hpp"
 
 namespace llmq::serve {
 
 struct ThreadedFleetOptions {
-  /// Lock stripes for each replica's PrefixCache (0 = unstriped). The
-  /// default exercises the striped concurrent cache; striped == unstriped
-  /// behavior is pinned separately in tests/cache.
+  /// Lock stripes for each replica's PrefixCache (0 = unstriped). No
+  /// replica's cache is touched by two threads at once, so striping is not
+  /// needed for safety; the default keeps exercising the striped cache,
+  /// whose striped == unstriped behavior is pinned in tests/cache.
   std::size_t cache_lock_stripes = 8;
-  /// Bounded capacity of each worker's admission/command inbox. Overflow
-  /// only blocks the driver momentarily — workers drain continuously.
-  std::size_t inbox_capacity = 1024;
   /// Worker-thread ceiling; 0 = one less than
   /// std::thread::hardware_concurrency() (floor 1), leaving a core for
   /// the driver. When the fleet has more replicas than workers, replica i
-  /// is owned by worker i % T and its slots are serviced sequentially in
-  /// inbox order — pure multiplexing, so every simulated number stays
+  /// is owned by worker i % T and stepped after the worker's lower-indexed
+  /// replicas — pure multiplexing, so every simulated number stays
   /// bit-identical to the one-thread-per-replica runtime (pinned in
   /// tests/threaded/).
   std::size_t max_threads = 0;
 };
 
-class ThreadedFleet {
+class ThreadedFleet : public ReplicaFleet {
  public:
-  /// Spawns min(n_replicas, max_threads) worker threads (parked until
-  /// messages arrive); replicas beyond the thread cap are multiplexed
-  /// onto the existing workers (ThreadedFleetOptions::max_threads).
-  /// Throws std::invalid_argument when config.n_replicas == 0.
+  /// Spawns min(n_replicas(), max_threads) worker threads, parked until
+  /// the first epoch. Throws std::invalid_argument when
+  /// config.n_replicas == 0.
   ThreadedFleet(const FleetConfig& config, ThreadedFleetOptions options = {});
   ~ThreadedFleet();
 
   ThreadedFleet(const ThreadedFleet&) = delete;
   ThreadedFleet& operator=(const ThreadedFleet&) = delete;
 
-  std::size_t n_replicas() const { return replicas_.size(); }
-
-  /// Bind tracing. Driver-only object; call before the first dispatch.
-  /// Each replica session emits into its own private TraceLog on track r;
-  /// the driver merges at barriers. A null/disabled merger is ignored.
-  void set_trace(obs::OrderedTraceMerger* merger);
-
-  /// Route `req` and enqueue it to the chosen replica's worker. Mirrors
-  /// ReplicaFleet::dispatch bit-for-bit using the driver-side session
-  /// mirrors (exact between barriers because only dispatches change
-  /// them). Barrier-context only. Returns the chosen replica.
-  std::size_t dispatch(llm::Request req, std::uint32_t tenant, double now);
-
-  bool any_work() const;
-
-  /// Merged-clock frontier rule over the driver-side clock mirrors;
-  /// identical to ReplicaFleet::frontier.
-  double frontier(double now) const;
-
-  /// Run one epoch: every worker advances until its session clock
-  /// reaches `t_limit` or it runs dry (pass +infinity to drain), then
-  /// the driver blocks on all reports (the barrier), merges step records
-  /// into virtual-time order, fills trace placeholders, and refreshes
-  /// the session mirrors. Returns completions in oracle order.
+  /// Run one epoch: every worker steps each busy replica it owns until the
+  /// replica's clock reaches `t_limit` (pass +infinity to drain), then the
+  /// driver blocks on all reports (the barrier), appends the merged step
+  /// spans to the trace sink, and returns completions in oracle order.
+  /// A step that threw on a worker is rethrown here, after the barrier.
   std::vector<llm::RequestResult> run_epoch(double t_limit);
-
-  /// Append one gauge row per replica at merged time `now`. Barrier
-  /// context only (reads worker-owned sessions while they are parked).
-  void sample_gauges(obs::TimeSeries& ts, double now) const;
-
-  /// Per-replica attribution with final engine metrics. Barrier context.
-  std::vector<ReplicaMetrics> replica_metrics() const;
-
-  /// Mean over routing decisions of max/mean outstanding prompt tokens.
-  double load_imbalance() const;
 
   /// Stop and join every worker. Idempotent; the destructor calls it.
   void shutdown();
 
-  /// Elasticity observers, mirror of ReplicaFleet's (driver state).
-  std::size_t active_replicas() const;
-  bool replica_active(std::size_t r) const { return active_[r] != 0; }
-  bool replica_draining(std::size_t r) const { return draining_[r] != 0; }
-  std::size_t pending_migrations() const { return pending_.size(); }
-
  private:
-  struct Replica;
-
-  struct WorkerMsg {
-    enum class Kind { Submit, Run, Stop };
-    Kind kind = Kind::Stop;
-    Replica* rep = nullptr;   // target replica (null for Stop)
-    std::size_t replica = 0;  // its fleet index (EpochReport tag)
-    llm::Request req;         // Submit payload
-    double time = 0.0;        // Submit: dispatch instant; Run: epoch limit
-  };
-
-  /// One worker-side action (a Submit admission or one session step),
-  /// with its private-TraceLog event span and any completions.
+  /// One session step, with its span in the worker's TraceLog.
   struct StepRec {
-    bool is_submit = false;
     double pre_clock = 0.0;  // session clock before the step (merge key)
-    std::uint64_t id = 0;    // Submit: request id (trace placeholder key)
+    std::size_t replica = 0;
     std::size_t trace_begin = 0;
     std::size_t trace_end = 0;
     std::vector<llm::RequestResult> completed;
   };
 
+  struct WorkerMsg {
+    enum class Kind { Run, Stop };
+    Kind kind = Kind::Stop;
+    double limit = 0.0;  // Run: the epoch limit
+  };
+
+  /// A worker's epoch: its steps, or the exception one of them threw
+  /// (rethrown on the driver by run_epoch).
   struct EpochReport {
-    std::size_t replica = 0;  // fleet index (WorkerMsg::replica echo)
-    std::vector<StepRec> recs;
-    double clock = 0.0;
-    bool has_work = false;
-    std::size_t outstanding = 0;
+    std::vector<StepRec> steps;
+    std::exception_ptr error;
   };
 
-  struct Replica {
-    llm::ServingEngine engine;
-    cache::PrefixCache cache;
-    llm::EngineSession session;
-    obs::TraceLog local_trace;
-    std::vector<StepRec> recs;  // owner-worker accumulation, per epoch
-
-    Replica(const FleetConfig& config, const ThreadedFleetOptions& options)
-        : engine(llm::CostModel(config.model, config.gpu), config.engine),
-          cache(engine.make_session_cache(options.cache_lock_stripes)),
-          session(engine, cache) {}
-  };
-
-  /// One worker thread multiplexing the replica slots it owns: every
-  /// message names its target replica, so a single inbox both parks the
-  /// worker and serializes its slots in driver push order.
   struct Worker {
-    util::MpscQueue<WorkerMsg> inbox;
-    util::MpscQueue<EpochReport> outbox;
-    std::vector<Replica*> owned;  // ascending replica index
+    util::MpscQueue<WorkerMsg> inbox{1};
+    util::MpscQueue<EpochReport> outbox{1};
+    std::vector<std::size_t> owned;  // ascending replica index
+    obs::TraceLog log;  // this epoch's events; cleared at the barrier
     std::thread thread;
-
-    Worker(std::size_t inbox_capacity, std::size_t outbox_capacity)
-        : inbox(inbox_capacity), outbox(outbox_capacity) {}
   };
 
-  static void worker_main(Worker& w);
+  void work(Worker& w);
 
   Worker& owner(std::size_t replica) {
     return *workers_[replica % workers_.size()];
   }
-  void maybe_scale(double now);
-  void complete_migrations(double now);
 
-  /// Mirror of ReplicaFleet::PendingMigration for the threaded driver
-  /// (cache ops run on the driver thread; the striped caches make them
-  /// safe against concurrent worker probes).
-  struct PendingMigration {
-    std::size_t donor = 0;
-    std::size_t recipient = 0;
-    cache::PrefixCache::MigrationBatch batch;
-    double land_time = 0.0;
-  };
-
-  std::vector<std::unique_ptr<Replica>> replicas_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  Router router_;
-  obs::OrderedTraceMerger* merger_ = nullptr;
-  std::vector<ReplicaMetrics> counters_;  // engine filled by replica_metrics
-  std::vector<Router::ReplicaView> views_;  // reused per-dispatch buffer
-  // Driver-side mirrors of worker session state: refreshed from reports
-  // at each barrier, advanced by dispatch bookkeeping between barriers —
-  // exact at all times because nothing else runs between barriers.
-  std::vector<double> clock_view_;
-  std::vector<char> busy_view_;
-  std::vector<std::size_t> outstanding_view_;
-  ElasticityConfig elastic_;
-  std::size_t block_size_ = 16;
-  std::vector<char> active_;
-  std::vector<char> draining_;
-  std::vector<PendingMigration> pending_;
-  double last_scale_ = -1.0e300;  // cooldown anchor
-  double imbalance_sum_ = 0.0;
-  std::size_t imbalance_samples_ = 0;
   bool stopped_ = false;
 };
 
-/// run_online semantics on the real-threads runtime. Produces a
-/// bit-identical OnlineRunResult to run_online(t, fds, arrivals, config)
-/// — including requests, latency/per-class summaries, engine + cache
-/// ledgers, PHC, and load imbalance; solve_seconds is planner wall clock
-/// and the one legitimately differing field. Property-pinned in
-/// tests/threaded/.
+/// run_online semantics on the real-threads runtime: the online event loop
+/// shared with run_online_replicated, executing each stretch between
+/// observable events as one run_epoch. Produces a bit-identical
+/// OnlineRunResult to run_online(t, fds, arrivals, config) — including
+/// requests, latency/per-class summaries, engine + cache ledgers, PHC, and
+/// load imbalance; solve_seconds is planner wall clock and the one
+/// legitimately differing field. Property-pinned in tests/threaded/.
 OnlineRunResult run_online_threaded(const table::Table& t,
                                     const table::FdSet& fds,
                                     const std::vector<Arrival>& arrivals,

@@ -2,9 +2,9 @@
 // Bounded multi-producer/single-consumer FIFO queue.
 //
 // The threaded fleet runtime (serve/threaded_fleet.hpp) uses one instance
-// per direction and per replica: the driver thread pushes admission and
-// epoch-control messages into a worker's inbox, and the worker pushes
-// epoch reports back over its outbox. Both directions are actually
+// per direction and per worker: the driver thread pushes epoch-control
+// messages into a worker's inbox, and the worker pushes its epoch report
+// back over its outbox. Both directions are actually
 // single-producer/single-consumer today; the queue is written to the
 // stronger MPSC contract so future multi-driver experiments don't need a
 // new primitive.
@@ -16,11 +16,10 @@
 //   - pop() blocks while the queue is empty and returns false only once
 //     the queue is closed AND drained, so no message is ever lost.
 //   - FIFO order is total per queue: messages pushed by one producer are
-//     consumed in push order (the fleet protocol depends on Submit
-//     messages being processed before the RunUntil that follows them).
+//     consumed in push order.
 //
-// Plain mutex + two condition variables: the payloads (requests, epoch
-// reports) are heavyweight enough that lock-free buys nothing here, and
+// Plain mutex + two condition variables: the payloads (epoch reports)
+// are heavyweight enough that lock-free buys nothing here, and
 // the simple implementation is trivially TSan-clean.
 
 #include <condition_variable>

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include "util/json.hpp"
 
 #ifndef LLMQ_BIN_DIR
@@ -332,6 +334,20 @@ std::string spec_name(const ::testing::TestParamInfo<BenchSpec>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllJsonBenches, BenchJsonSchema,
                          ::testing::ValuesIn(bench_specs()), spec_name);
+
+// A mistyped flag, a flag missing its value, or a non-numeric scale is a
+// usage error (exit status 2), never a silent run of the default config.
+TEST(BenchCli, BadFlagsExitWithUsageError) {
+  const std::string binary = std::string(LLMQ_BIN_DIR) + "/bench_table2_phr";
+  if (!file_exists(binary))
+    GTEST_SKIP() << binary << " not built (benches disabled?)";
+  for (const char* args : {"--sclae 0.02", "--scale", "--scale abc"}) {
+    const std::string cmd = binary + " " + args + " > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+  }
+}
 
 }  // namespace
 }  // namespace llmq

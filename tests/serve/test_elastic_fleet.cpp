@@ -213,41 +213,131 @@ TEST(ElasticFleet, ElasticReplayIsBitIdentical) {
   EXPECT_EQ(a.load_imbalance, b.load_imbalance);
 }
 
-TEST(ElasticFleet, ThreadedDriverMatchesVirtualClockWithElasticity) {
-  const std::size_t n_rows = 60;
-  const table::Table t = tiny_table(n_rows);
-  const table::FdSet fds;
-  const auto arrivals = burst_arrivals(n_rows);
-  const OnlineConfig cfg = elastic_config();
+/// 1 -> 2 replicas over a 2-tier cache whose host tier equals the GPU
+/// pool, fed burst -> lull -> burst by tenant hash: replica 1 spawns,
+/// drains and parks warm in the lull, and re-spawns in the second burst
+/// with a warm migration whose landing moves blocks between the
+/// recipient's tiers — cache events emitted at a dispatch, outside every
+/// replica step.
+OnlineConfig warm_respawn_config() {
+  OnlineConfig cfg = elastic_config();
+  cfg.scheduler.policy = Policy::Fifo;
+  cfg.scheduler.window_rows = 4;
+  cfg.scheduler.max_wait_seconds = 0.05;
+  cfg.router = RouterPolicy::TenantHash;
+  cfg.engine.kv_pool_blocks_override = 80;
+  cfg.engine.cache_tiers = 2;
+  cfg.engine.host_capacity_blocks = 80;
+  cfg.elasticity.max_replicas = 2;
+  cfg.elasticity.high_watermark_tokens = 150;
+  cfg.elasticity.low_watermark_tokens = 60;
+  cfg.elasticity.migrate_max_blocks = 24;
+  cfg.elasticity.cooldown_seconds = 0.1;
+  return cfg;
+}
 
-  obs::TraceLog log_v, log_t;
-  OnlineConfig cfg_v = cfg, cfg_t = cfg;
-  cfg_v.trace.sink = &log_v;
-  cfg_t.trace.sink = &log_t;
-  const OnlineRunResult v = run_online_replicated(t, fds, arrivals, cfg_v);
-  const OnlineRunResult th = run_online_threaded(t, fds, arrivals, cfg_t);
+/// tiny_table behind a leading per-row sku column: every prompt carries
+/// row-specific full blocks, enough to overflow an 80-block GPU tier.
+table::Table sku_table(std::size_t n) {
+  table::Table t(
+      table::Schema::of_names({"sku", "category", "region", "status"}));
+  for (std::size_t r = 0; r < n; ++r)
+    t.append_row({"sku_" + std::to_string(r), "cat_" + std::to_string(r % 3),
+                  "region_" + std::to_string(r % 4),
+                  r % 2 ? "active" : "archived"});
+  return t;
+}
 
-  ASSERT_EQ(v.requests.size(), th.requests.size());
-  for (std::size_t i = 0; i < v.requests.size(); ++i) {
-    EXPECT_EQ(v.requests[i].id, th.requests[i].id);
-    EXPECT_EQ(v.requests[i].replica, th.requests[i].replica);
-    EXPECT_EQ(v.requests[i].first_token_time, th.requests[i].first_token_time);
-    EXPECT_EQ(v.requests[i].finish_time, th.requests[i].finish_time);
+/// Bursts of 120 arrivals 5 ms apart around a lull of 12 arrivals 1.5 s
+/// apart, over 6 tenants.
+std::vector<Arrival> burst_lull_burst_arrivals(std::size_t n_rows) {
+  std::vector<Arrival> out;
+  double t = 0.0;
+  const auto add = [&](std::size_t count, double gap) {
+    for (std::size_t i = 0; i < count; ++i, t += gap) {
+      Arrival a;
+      a.id = out.size();
+      a.time = t;
+      a.row = out.size() % n_rows;
+      a.tenant = static_cast<std::uint32_t>(out.size() % 6);
+      out.push_back(a);
+    }
+  };
+  add(120, 0.005);
+  add(12, 1.5);
+  add(120, 0.005);
+  return out;
+}
+
+/// Does some PrefixMigrate directly follow a tier or eviction event on its
+/// recipient's track — i.e. did a landing move blocks on the recipient?
+bool landing_moves_recipient_blocks(const obs::TraceLog& log) {
+  const auto& ev = log.events();
+  for (std::size_t i = 1; i < ev.size(); ++i) {
+    if (ev[i].kind != obs::EventKind::PrefixMigrate) continue;
+    const obs::TraceEvent& prev = ev[i - 1];
+    if (prev.replica == ev[i].c &&
+        (prev.kind == obs::EventKind::TierPromote ||
+         prev.kind == obs::EventKind::TierDemote ||
+         prev.kind == obs::EventKind::CacheEvict))
+      return true;
   }
-  EXPECT_EQ(v.latency.p99_ttft, th.latency.p99_ttft);
-  EXPECT_EQ(v.engine.cache.hit_tokens, th.engine.cache.hit_tokens);
+  return false;
+}
 
-  // Event-for-event: the scaling decisions themselves must line up.
-  ASSERT_EQ(log_v.size(), log_t.size());
-  const auto& ev = log_v.events();
-  const auto& et = log_t.events();
-  for (std::size_t i = 0; i < ev.size(); ++i) {
-    ASSERT_EQ(ev[i].kind, et[i].kind) << "event " << i;
-    ASSERT_EQ(ev[i].time, et[i].time) << "event " << i;
-    ASSERT_EQ(ev[i].replica, et[i].replica) << "event " << i;
-    ASSERT_EQ(ev[i].a, et[i].a) << "event " << i;
-    ASSERT_EQ(ev[i].b, et[i].b) << "event " << i;
-    ASSERT_EQ(ev[i].c, et[i].c) << "event " << i;
+TEST(ElasticFleet, ThreadedDriverMatchesVirtualClockWithElasticity) {
+  const table::FdSet fds;
+  struct Fixture {
+    const char* name;
+    table::Table table;
+    OnlineConfig cfg;
+    std::vector<Arrival> arrivals;
+    bool landing_moves_blocks;  // the case the fixture must reach
+  };
+  const std::vector<Fixture> fixtures = {
+      {"burst", tiny_table(60), elastic_config(), burst_arrivals(60), false},
+      {"warm_respawn", sku_table(120), warm_respawn_config(),
+       burst_lull_burst_arrivals(120), true},
+  };
+  for (const Fixture& fx : fixtures) {
+    SCOPED_TRACE(fx.name);
+    obs::TraceLog log_v, log_t;
+    OnlineConfig cfg_v = fx.cfg, cfg_t = fx.cfg;
+    cfg_v.trace.sink = &log_v;
+    cfg_t.trace.sink = &log_t;
+    const OnlineRunResult v =
+        run_online_replicated(fx.table, fds, fx.arrivals, cfg_v);
+    const OnlineRunResult th =
+        run_online_threaded(fx.table, fds, fx.arrivals, cfg_t);
+    if (fx.landing_moves_blocks) {
+      ASSERT_TRUE(landing_moves_recipient_blocks(log_v))
+          << "no migration landing moved recipient blocks — the fixture "
+             "no longer reaches the warm re-spawn case";
+    }
+
+    ASSERT_EQ(v.requests.size(), th.requests.size());
+    for (std::size_t i = 0; i < v.requests.size(); ++i) {
+      EXPECT_EQ(v.requests[i].id, th.requests[i].id);
+      EXPECT_EQ(v.requests[i].replica, th.requests[i].replica);
+      EXPECT_EQ(v.requests[i].first_token_time,
+                th.requests[i].first_token_time);
+      EXPECT_EQ(v.requests[i].finish_time, th.requests[i].finish_time);
+    }
+    EXPECT_EQ(v.latency.p99_ttft, th.latency.p99_ttft);
+    EXPECT_EQ(v.engine.cache.hit_tokens, th.engine.cache.hit_tokens);
+
+    // Event-for-event: the scaling decisions themselves must line up.
+    ASSERT_EQ(log_v.size(), log_t.size());
+    const auto& ev = log_v.events();
+    const auto& et = log_t.events();
+    for (std::size_t i = 0; i < ev.size(); ++i) {
+      ASSERT_EQ(ev[i].kind, et[i].kind) << "event " << i;
+      ASSERT_EQ(ev[i].time, et[i].time) << "event " << i;
+      ASSERT_EQ(ev[i].replica, et[i].replica) << "event " << i;
+      ASSERT_EQ(ev[i].a, et[i].a) << "event " << i;
+      ASSERT_EQ(ev[i].b, et[i].b) << "event " << i;
+      ASSERT_EQ(ev[i].c, et[i].c) << "event " << i;
+    }
   }
 }
 
