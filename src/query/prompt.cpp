@@ -38,9 +38,16 @@ PromptEncoder::PromptEncoder(PromptTemplate tmpl) : tmpl_(std::move(tmpl)) {
 tokenizer::TokenSeq PromptEncoder::encode(
     const table::Table& t, std::size_t row,
     std::span<const std::size_t> field_order) const {
-  tokenizer::TokenSeq out = prefix_tokens_;
+  // Tokenize the row first, so the prompt is allocated once, at its exact
+  // size: requests hold their prompts for the whole run.
+  thread_local tokenizer::TokenSeq row_tokens;
+  row_tokens.clear();
   tokenizer::global_tokenizer().encode_append(
-      render_row_json(t, row, field_order), out);
+      render_row_json(t, row, field_order), row_tokens);
+  tokenizer::TokenSeq out;
+  out.reserve(prefix_tokens_.size() + row_tokens.size());
+  out.insert(out.end(), prefix_tokens_.begin(), prefix_tokens_.end());
+  out.insert(out.end(), row_tokens.begin(), row_tokens.end());
   return out;
 }
 

@@ -1,7 +1,8 @@
 #include "tokenizer/tokenizer.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 #include "util/token_ops.hpp"
@@ -10,101 +11,117 @@ namespace llmq::tokenizer {
 
 namespace {
 
-enum class CharClass { Alnum, Space, Punct };
+enum ByteClass : unsigned char { kPunct, kAlnum, kSpace };
 
-CharClass classify(unsigned char c) {
-  if (std::isalnum(c)) return CharClass::Alnum;
-  if (std::isspace(c)) return CharClass::Space;
-  return CharClass::Punct;
+/// The "C" locale's isalnum/isspace classes; every other byte, including
+/// all bytes >= 0x80, is punctuation.
+constexpr std::array<ByteClass, 256> kByteClass = [] {
+  std::array<ByteClass, 256> t{};
+  for (int c = '0'; c <= '9'; ++c) t[c] = kAlnum;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kAlnum;
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kAlnum;
+  for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'})
+    t[static_cast<unsigned char>(c)] = kSpace;
+  return t;
+}();
+
+/// FNV state after hashing a leading ' ': a space-prefixed piece continues
+/// from here, so its id is hash64(" " + piece) without building that
+/// string.
+constexpr std::uint64_t kSpaceState =
+    util::fnv1a_step(util::kFnvOffsetBasis, ' ');
+
+constexpr TokenId finish(std::uint64_t h) {
+  return static_cast<TokenId>(util::hash64_finish(h));
 }
 
-TokenId piece_id(std::string_view piece) {
-  return static_cast<TokenId>(util::hash64(piece.data(), piece.size()));
+/// Ids of every one-byte piece, bare and space-prefixed: all punctuation
+/// tokens, and the whitespace token when space_prefix is off.
+constexpr auto byte_ids(std::uint64_t seed) {
+  std::array<TokenId, 256> ids{};
+  for (int c = 0; c < 256; ++c)
+    ids[c] = finish(util::fnv1a_step(seed, static_cast<unsigned char>(c)));
+  return ids;
 }
+constexpr std::array<TokenId, 256> kByteId = byte_ids(util::kFnvOffsetBasis);
+constexpr std::array<TokenId, 256> kSpaceByteId = byte_ids(kSpaceState);
 
 }  // namespace
 
-Tokenizer::Tokenizer(TokenizerOptions opts) : opts_(opts) {}
+Tokenizer::Tokenizer(TokenizerOptions opts) : opts_(opts) {
+  // A zero-width piece never advances through an alphanumeric run.
+  if (opts_.max_piece_chars == 0)
+    throw std::invalid_argument("Tokenizer: max_piece_chars must be >= 1");
+}
 
-template <typename Sink>
-void Tokenizer::tokenize_pieces(std::string_view text, Sink&& sink) const {
-  std::size_t i = 0;
-  const std::size_t n = text.size();
+// One pass over the bytes. Whitespace runs collapse into a space prefix on
+// the next token (or a standalone token when space_prefix is off); each
+// punctuation byte is its own token; an alphanumeric run is cut into
+// pieces of at most max_piece_chars bytes, each hashed as it is read.
+template <typename Emit>
+void Tokenizer::tokenize(std::string_view text, Emit&& emit) const {
+  const auto* p = reinterpret_cast<const unsigned char*>(text.data());
+  const auto* const end = p + text.size();
+  const std::size_t max_piece = opts_.max_piece_chars;
   bool pending_space = false;
-  while (i < n) {
-    const CharClass cls = classify(static_cast<unsigned char>(text[i]));
-    if (cls == CharClass::Space) {
-      // Collapse runs of whitespace into a space-prefix on the next token
-      // (or a standalone token when space_prefix is off).
-      std::size_t j = i;
-      while (j < n && classify(static_cast<unsigned char>(text[j])) ==
-                          CharClass::Space)
-        ++j;
-      if (opts_.space_prefix) {
-        pending_space = true;
-      } else {
-        sink(text.substr(i, 1));
-      }
-      i = j;
-      continue;
-    }
-    if (cls == CharClass::Punct) {
-      // Each punctuation char is its own token (absorbing a pending space).
-      if (pending_space) {
-        char buf[2] = {' ', text[i]};
-        sink(std::string_view(buf, 2));
+  while (p < end) {
+    const unsigned char c = *p;
+    switch (kByteClass[c]) {
+      case kSpace:
+        if (opts_.space_prefix)
+          pending_space = true;
+        else
+          emit(kByteId[c]);
+        do ++p;
+        while (p < end && kByteClass[*p] == kSpace);
+        break;
+      case kPunct:
+        emit(pending_space ? kSpaceByteId[c] : kByteId[c]);
         pending_space = false;
-      } else {
-        sink(text.substr(i, 1));
-      }
-      ++i;
-      continue;
-    }
-    // Alphanumeric run.
-    std::size_t j = i;
-    while (j < n &&
-           classify(static_cast<unsigned char>(text[j])) == CharClass::Alnum)
-      ++j;
-    std::size_t pos = i;
-    bool first_piece = true;
-    while (pos < j) {
-      const std::size_t take = std::min(opts_.max_piece_chars, j - pos);
-      if (first_piece && pending_space) {
-        std::string with_space;
-        with_space.reserve(take + 1);
-        with_space += ' ';
-        with_space.append(text.substr(pos, take));
-        sink(std::string_view(with_space));
+        ++p;
+        break;
+      case kAlnum: {
+        std::uint64_t h = pending_space ? kSpaceState : util::kFnvOffsetBasis;
         pending_space = false;
-      } else {
-        sink(text.substr(pos, take));
+        std::size_t len = 0;
+        do {
+          if (len == max_piece) {
+            emit(finish(h));
+            h = util::kFnvOffsetBasis;
+            len = 0;
+          }
+          h = util::fnv1a_step(h, *p);
+          ++len;
+          ++p;
+        } while (p < end && kByteClass[*p] == kAlnum);
+        emit(finish(h));
+        break;
       }
-      first_piece = false;
-      pos += take;
     }
-    i = j;
   }
 }
 
 TokenSeq Tokenizer::encode(std::string_view text) const {
   TokenSeq out;
-  out.reserve(text.size() / 4 + 4);
-  tokenize_pieces(text, [&](std::string_view piece) {
-    out.push_back(piece_id(piece));
-  });
+  encode_append(text, out);
   return out;
 }
 
 std::size_t Tokenizer::count(std::string_view text) const {
   std::size_t n = 0;
-  tokenize_pieces(text, [&](std::string_view) { ++n; });
+  tokenize(text, [&](TokenId) { ++n; });
   return n;
 }
 
 void Tokenizer::encode_append(std::string_view text, TokenSeq& out) const {
-  tokenize_pieces(text, [&](std::string_view piece) {
-    out.push_back(piece_id(piece));
-  });
+  // Every token covers at least one byte, so text.size() bounds the ids
+  // appended: write them unchecked into a per-thread buffer of that size,
+  // then grow `out` once.
+  thread_local TokenSeq scratch;
+  if (scratch.size() < text.size()) scratch.resize(text.size());
+  TokenId* last = scratch.data();
+  tokenize(text, [&](TokenId id) { *last++ = id; });
+  out.insert(out.end(), scratch.data(), last);
 }
 
 const Tokenizer& global_tokenizer() {

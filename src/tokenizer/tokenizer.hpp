@@ -8,6 +8,12 @@
 // the serving cost model are sized like the paper's Table 1. We therefore
 // implement a greedy word/punctuation splitter with BPE-style subword
 // chunking for long words and a stable hashed vocabulary (no vocab file).
+//
+// The vocabulary is pinned: bytes are classed as in the "C" locale
+// (isalnum, isspace, everything else punctuation, bytes >= 0x80
+// included), and a piece's id is the low 32 bits of util::hash64 of its
+// bytes, the space prefix included. tests/tokenizer holds the reference
+// implementation every id is checked against.
 
 #include <cstdint>
 #include <string>
@@ -35,6 +41,7 @@ struct TokenizerOptions {
 
 class Tokenizer {
  public:
+  /// Throws std::invalid_argument when opts.max_piece_chars is 0.
   explicit Tokenizer(TokenizerOptions opts = {});
 
   /// Encode text to token ids. Deterministic; no state.
@@ -43,15 +50,15 @@ class Tokenizer {
   /// Number of tokens `encode(text)` would produce, without materializing.
   std::size_t count(std::string_view text) const;
 
-  /// Append the encoding of `text` to `out` (avoids reallocation in the
-  /// prompt builder's hot path).
+  /// Append the encoding of `text` to `out`, growing `out` at most once.
   void encode_append(std::string_view text, TokenSeq& out) const;
 
   const TokenizerOptions& options() const { return opts_; }
 
  private:
-  template <typename Sink>
-  void tokenize_pieces(std::string_view text, Sink&& sink) const;
+  /// Calls emit(id) for each token of `text`, in order.
+  template <typename Emit>
+  void tokenize(std::string_view text, Emit&& emit) const;
 
   TokenizerOptions opts_;
 };

@@ -2,14 +2,49 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 namespace llmq::util {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
+namespace {
+
+constexpr bool needs_escape(unsigned char c) {
+  return c < 0x20 || c == '"' || c == '\\';
+}
+
+/// Whether any of the 8 bytes packed in `w` needs escaping. Each term is
+/// the exact "some byte is zero / below n" bit trick, so there are no
+/// false positives or negatives.
+constexpr bool any_needs_escape(std::uint64_t w) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  const std::uint64_t quote = w ^ (kOnes * '"');
+  const std::uint64_t backslash = w ^ (kOnes * '\\');
+  return (((w - kOnes * 0x20) & ~w) | ((quote - kOnes) & ~quote) |
+          ((backslash - kOnes) & ~backslash)) &
+         kHigh;
+}
+
+/// Append `s` JSON-escaped to `out`. Runs of bytes that need no escape are
+/// copied with one append each, so no temporary string is built, and
+/// clean stretches are skipped eight bytes per test.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < s.size();) {
+    if (i + 8 <= s.size()) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, s.data() + i, 8);
+      if (!any_needs_escape(w)) {
+        i += 8;
+        continue;
+      }
+    }
+    const auto c = static_cast<unsigned char>(s[i++]);
+    if (!needs_escape(c)) continue;
+    out.append(s.data() + run, i - 1 - run);
+    run = i;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -18,16 +53,21 @@ std::string json_escape(std::string_view s) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  append_escaped(out, s);
   return out;
 }
 
@@ -71,7 +111,7 @@ JsonWriter& JsonWriter::end_array() {
 JsonWriter& JsonWriter::key(std::string_view k) {
   maybe_comma();
   out_ += '"';
-  out_ += json_escape(k);
+  append_escaped(out_, k);
   out_ += "\":";
   after_key_ = true;
   return *this;
@@ -80,7 +120,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 JsonWriter& JsonWriter::value(std::string_view v) {
   maybe_comma();
   out_ += '"';
-  out_ += json_escape(v);
+  append_escaped(out_, v);
   out_ += '"';
   return *this;
 }

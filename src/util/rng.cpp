@@ -5,23 +5,11 @@
 
 namespace llmq::util {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t hash64(const void* data, std::size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;  // FNV prime
-  }
-  // Final avalanche so short strings spread over all 64 bits.
-  std::uint64_t s = h;
-  return splitmix64(s);
+  std::uint64_t h = kFnvOffsetBasis;
+  for (std::size_t i = 0; i < len; ++i) h = fnv1a_step(h, p[i]);
+  return hash64_finish(h);
 }
 
 std::uint64_t hash64(std::uint64_t x) {
@@ -30,7 +18,7 @@ std::uint64_t hash64(std::uint64_t x) {
 }
 
 std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t s = a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
+  std::uint64_t s = a ^ (b + kSplitmixGamma + (a << 6) + (a >> 2));
   return splitmix64(s);
 }
 

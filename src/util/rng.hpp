@@ -10,8 +10,36 @@
 
 namespace llmq::util {
 
+inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64's output function: a bijective avalanche of one word.
+constexpr std::uint64_t splitmix64_mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// splitmix64: used to derive well-mixed seeds from small integers.
-std::uint64_t splitmix64(std::uint64_t& state);
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  return splitmix64_mix(state += kSplitmixGamma);
+}
+
+/// hash64 of a byte string is two steps, exposed so a caller can hash
+/// bytes where they lie (the tokenizer hashes each piece in place):
+///   h = kFnvOffsetBasis; for each byte b: h = fnv1a_step(h, b);
+///   return hash64_finish(h);
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+/// One FNV-1a round: fold byte `b` into state `h`.
+constexpr std::uint64_t fnv1a_step(std::uint64_t h, unsigned char b) {
+  return (h ^ b) * 0x100000001b3ULL;  // FNV prime
+}
+
+/// Final avalanche so short strings spread over all 64 bits (one
+/// splitmix64 draw seeded with the FNV state).
+constexpr std::uint64_t hash64_finish(std::uint64_t h) {
+  return splitmix64_mix(h + kSplitmixGamma);
+}
 
 /// Stable 64-bit hash of a byte string (FNV-1a, then mixed).
 /// Used wherever a deterministic value must be derived from text

@@ -164,7 +164,10 @@ const std::vector<BenchSpec>& bench_specs() {
           {"equal_scalar_us", kNum},
           {"hash_check", kNum}}},
         {"radix_fanout",
-         {{"fanout", kNum}, {"hit_us", kNum}, {"miss_us", kNum},
+         {{"fanout", kNum},
+          {"hit_us", kNum},
+          {"miss_us", kNum},
+          {"hit_vs_fanout4", kNum},
           {"check", kNum}}},
         {"radix_stream",
          {{"requests", kNum},
@@ -173,6 +176,13 @@ const std::vector<BenchSpec>& bench_specs() {
           {"inserted_blocks", kNum}}},
         {"evict_batch",
          {{"nodes", kNum}, {"evicted", kNum}, {"us_per_block", kNum}}},
+        {"tokenize",
+         {{"dataset", kStr},
+          {"rows", kNum},
+          {"tokens", kNum},
+          {"ns_per_token", kNum},
+          {"us_per_row", kNum},
+          {"fingerprint", kNum}}},
         {"alloc_steadystate",
          {{"steady_passes", kNum},
           {"warmup_allocs", kNum},

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace llmq::tokenizer {
 namespace {
 
@@ -104,6 +106,13 @@ TEST(Tokenizer, CommonPrefixLenEdgeCases) {
   EXPECT_EQ(common_prefix_len(a, b), 3u);
   EXPECT_EQ(common_prefix_len(a, c), 0u);
   EXPECT_EQ(common_prefix_len(c, c), 0u);
+}
+
+TEST(Tokenizer, RejectsZeroPieceWidth) {
+  // A zero-width piece would never advance through an alphanumeric run.
+  TokenizerOptions opts;
+  opts.max_piece_chars = 0;
+  EXPECT_THROW(Tokenizer{opts}, std::invalid_argument);
 }
 
 TEST(Tokenizer, GlobalTokenizerIsStable) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <string_view>
+
+#include "util/rng.hpp"
+
 namespace llmq::util {
 namespace {
 
@@ -11,6 +17,57 @@ TEST(Json, EscapeSpecials) {
   EXPECT_EQ(json_escape("line\nbreak"), "line\\nbreak");
   EXPECT_EQ(json_escape("tab\there"), "tab\\there");
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+}
+
+// The original escaper, kept as the reference for the in-place one.
+std::string reference_json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(Json, EscapeMatchesReferenceOnRandomStrings) {
+  // Every control byte, both escaped specials, and bytes >= 0x80, in
+  // strings long enough that the escaper's 8-byte skip meets each of them
+  // at every offset within a word.
+  std::string specials = "\"\\";
+  for (int c = 0; c < 0x20; ++c) specials += static_cast<char>(c);
+  EXPECT_EQ(json_escape(specials), reference_json_escape(specials));
+  Rng rng(0x15c);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string s;
+    for (std::size_t n = rng.next_below(40); n > 0; --n) {
+      switch (rng.next_below(3)) {
+        case 0: s += specials[rng.next_below(specials.size())]; break;
+        case 1: s += static_cast<char>(rng.next_below(256)); break;
+        default: s += static_cast<char>('a' + rng.next_below(26));
+      }
+    }
+    const std::string want = reference_json_escape(s);
+    EXPECT_EQ(json_escape(s), want);
+    JsonWriter w;
+    w.begin_object().kv(s, s).end_object();
+    EXPECT_EQ(w.str(), "{\"" + want + "\":\"" + want + "\"}");
+  }
 }
 
 TEST(Json, EmptyObject) {
