@@ -23,7 +23,7 @@ double hit_fraction(const table::Table& t, const core::Ordering& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header("Ablations — GGR design choices", opt);
 
   // (d) policy ladder across datasets.

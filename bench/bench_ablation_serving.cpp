@@ -9,7 +9,7 @@
 using namespace llmq;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kJson);
   bench::print_header("Ablations — serving engine", opt);
   bench::JsonReport json("bench_ablation_serving", opt);
 

@@ -154,7 +154,7 @@ double backlog_us_per_request(std::size_t depth) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kJsonAndTrace);
   bench::print_header(
       "Chunked prefill — decode stalls, tails, and admission scaling", opt);
   bench::JsonReport json("bench_chunked_prefill", opt);
@@ -248,11 +248,10 @@ int main(int argc, char** argv) {
     cfg.trace.sink = &log;
     cfg.trace.timeseries = &ts;
     (void)serve::run_online(t, fds, arrivals, cfg);
-    if (obs::write_perfetto_trace(opt.trace_path, log, &ts))
-      std::printf("\n[trace: %zu events (heavy-docs, chunk=64) -> %s "
-                  "(+ %s.jsonl)]\n",
-                  log.size(), opt.trace_path.c_str(), opt.trace_path.c_str());
-    obs::write_text_file(opt.trace_path + ".jsonl", obs::trace_to_jsonl(log));
+    bench::write_trace(opt, log, &ts);
+    std::printf("\n[trace: %zu events (heavy-docs, chunk=64) -> %s "
+                "(+ %s.jsonl)]\n",
+                log.size(), opt.trace_path.c_str(), opt.trace_path.c_str());
   }
 
   // ---- 2. deep-backlog admission scaling. ----

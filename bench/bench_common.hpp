@@ -5,10 +5,12 @@
 //   --scale <f>   fraction of the paper's dataset sizes (default 0.1)
 //   --seed <s>    dataset seed (default 42)
 //   --full        shorthand for --scale 1.0
+// and, only where its main() declares the output (bench::Outputs):
 //   --json <path> also write results as machine-readable JSON (the
 //                 BENCH_*.json perf-trajectory format; see JsonReport)
-//   --trace <path> write a Perfetto trace (benches that support it)
-// Any other argument is an error (usage on stderr, exit status 2).
+//   --trace <path> write a Perfetto trace of one representative run
+// Any other argument is an error (usage on stderr, exit status 2), and an
+// output file that cannot be written exits 1.
 // Scaled runs also scale the KV pool by the same fraction so the
 // data-to-cache ratio (the regime that makes reordering matter) is
 // preserved; see ExecConfig::scale_kv_pool.
@@ -28,6 +30,9 @@
 
 #include "data/benchmark_suite.hpp"
 #include "data/generators.hpp"
+#include "obs/export.hpp"
+#include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 #include "query/executor.hpp"
 #include "query/metrics.hpp"
 #include "util/json.hpp"
@@ -54,29 +59,38 @@ struct BenchOptions {
   }
 };
 
-inline void print_usage(std::FILE* out, const char* prog) {
-  std::fprintf(out,
-               "usage: %s [--scale f] [--seed s] [--full] [--json path] "
-               "[--trace path]\n",
-               prog);
+/// The files a bench writes besides its stdout tables. A bench accepts
+/// --json / --trace only when it declares the output, so asking one for a
+/// file it never writes is a usage error rather than a silent no-op.
+struct Outputs {
+  bool json = false;   // --json <path>: a JsonReport
+  bool trace = false;  // --trace <path>: a Perfetto trace (write_trace)
+};
+inline constexpr Outputs kStdoutOnly{};
+inline constexpr Outputs kJson{.json = true};
+inline constexpr Outputs kJsonAndTrace{.json = true, .trace = true};
+
+inline void print_usage(std::FILE* out, const char* prog, Outputs outputs) {
+  std::fprintf(out, "usage: %s [--scale f] [--seed s] [--full]%s%s\n", prog,
+               outputs.json ? " [--json path]" : "",
+               outputs.trace ? " [--trace path]" : "");
 }
 
-[[noreturn]] inline void usage_error(const char* prog, const char* what,
-                                     const char* arg) {
-  std::fprintf(stderr, "%s: %s '%s'\n", prog, what, arg);
-  print_usage(stderr, prog);
-  std::exit(2);
-}
-
-/// Parse the shared flags. An unknown flag, a flag missing its value, a
+/// Parse the shared flags, plus --json / --trace where `outputs` allows
+/// them. An unknown or undeclared flag, a flag missing its value, a
 /// malformed number, or --scale <= 0 prints the usage line on stderr and
 /// exits with status 2: a typo never runs the default config.
-inline BenchOptions parse_options(int argc, char** argv) {
+inline BenchOptions parse_options(int argc, char** argv, Outputs outputs) {
   BenchOptions opt;
+  const auto usage_error = [&](const char* what, const char* arg) {
+    std::fprintf(stderr, "%s: %s '%s'\n", argv[0], what, arg);
+    print_usage(stderr, argv[0], outputs);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
     const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error(argv[0], "missing value for", flag);
+      if (i + 1 >= argc) usage_error("missing value for", flag);
       return argv[++i];
     };
     if (std::strcmp(flag, "--scale") == 0) {
@@ -85,28 +99,30 @@ inline BenchOptions parse_options(int argc, char** argv) {
       opt.scale = std::strtod(v, &end);
       if (end == v || *end != '\0' || !std::isfinite(opt.scale) ||
           opt.scale <= 0.0)
-        usage_error(argv[0], "--scale needs a number > 0, got", v);
+        usage_error("--scale needs a number > 0, got", v);
     } else if (std::strcmp(flag, "--seed") == 0) {
       const char* v = value();
       char* end = nullptr;
       errno = 0;
       opt.seed = std::strtoull(v, &end, 10);
       if (end == v || *end != '\0' || errno == ERANGE || *v == '-')
-        usage_error(argv[0], "--seed needs a non-negative integer, got", v);
+        usage_error("--seed needs a non-negative integer, got", v);
     } else if (std::strcmp(flag, "--full") == 0) {
       opt.scale = 1.0;
-    } else if (std::strcmp(flag, "--json") == 0) {
+    } else if (outputs.json && std::strcmp(flag, "--json") == 0) {
       opt.json_path = value();
-    } else if (std::strcmp(flag, "--trace") == 0) {
+    } else if (outputs.trace && std::strcmp(flag, "--trace") == 0) {
       opt.trace_path = value();
     } else if (std::strcmp(flag, "--help") == 0) {
-      print_usage(stdout, argv[0]);
-      std::printf(
-          "  --trace writes a Perfetto trace of one representative run\n"
-          "  (load it at ui.perfetto.dev; <path>.jsonl gets the raw events)\n");
+      print_usage(stdout, argv[0], outputs);
+      if (outputs.trace)
+        std::printf(
+            "  --trace writes a Perfetto trace of one representative run\n"
+            "  (load it at ui.perfetto.dev; <path>.jsonl gets the raw "
+            "events)\n");
       std::exit(0);
     } else {
-      usage_error(argv[0], "unknown flag", flag);
+      usage_error("unknown flag", flag);
     }
   }
   return opt;
@@ -158,7 +174,8 @@ class JsonReport {
   }
 
   /// Write the report if --json was given. Safe to call once at the end of
-  /// main; prints the output path on success.
+  /// main; prints the output path on success and exits 1 when the file
+  /// cannot be written.
   void write() const {
     if (opt_.json_path.empty()) return;
     util::JsonWriter w;
@@ -219,11 +236,12 @@ class JsonReport {
     std::ofstream out(opt_.json_path);
     out << w.str() << "\n";
     out.flush();
-    if (out.good())
-      std::printf("\n[json results written to %s]\n", opt_.json_path.c_str());
-    else
+    if (!out.good()) {
       std::fprintf(stderr, "\n[error: could not write json to %s]\n",
                    opt_.json_path.c_str());
+      std::exit(1);
+    }
+    std::printf("\n[json results written to %s]\n", opt_.json_path.c_str());
   }
 
  private:
@@ -275,22 +293,74 @@ class WallClockTimer {
     double timed = 0.0;
     for (int i = 0; i < reps_ || timed < kMinBudgetS; ++i) {
       setup();
-      const auto t0 = std::chrono::steady_clock::now();
-      fn();
-      const auto t1 = std::chrono::steady_clock::now();
-      const double s = std::chrono::duration<double>(t1 - t0).count();
+      const double s = seconds(fn);
       best = std::min(best, s);
       timed += s;
     }
     return best;
   }
 
+  /// Fastest seconds of `a()` and of `b()`, each after its untimed setup,
+  /// with the reps of the two interleaved until each side has `reps` of
+  /// them and kMinBudgetS of timed wall time. For a same-run ratio of the
+  /// two: a host slowdown that comes and goes mid-run then reaches both
+  /// timings alike, where back-to-back min_seconds calls can catch one
+  /// side only in the slow stretch.
+  template <typename SetupA, typename A, typename SetupB, typename B>
+  std::pair<double, double> min_seconds_interleaved(SetupA&& setup_a, A&& a,
+                                                    SetupB&& setup_b,
+                                                    B&& b) const {
+    for (int i = 0; i < warmup_; ++i) {
+      setup_a();
+      a();
+      setup_b();
+      b();
+    }
+    double best_a = std::numeric_limits<double>::infinity();
+    double best_b = best_a;
+    double timed_a = 0.0, timed_b = 0.0;
+    for (int i = 0;
+         i < reps_ || timed_a < kMinBudgetS || timed_b < kMinBudgetS; ++i) {
+      setup_a();
+      const double sa = seconds(a);
+      setup_b();
+      const double sb = seconds(b);
+      best_a = std::min(best_a, sa);
+      best_b = std::min(best_b, sb);
+      timed_a += sa;
+      timed_b += sb;
+    }
+    return {best_a, best_b};
+  }
+
   int reps() const { return reps_; }
 
  private:
+  template <typename Fn>
+  static double seconds(Fn& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
+  }
+
   int reps_;
   int warmup_;
 };
+
+/// Write `log` (with the gauge rows in `ts`) as a Perfetto trace to
+/// --trace <path> and its raw events to <path>.jsonl. A file that cannot
+/// be written exits 1.
+inline void write_trace(const BenchOptions& opt, const obs::TraceLog& log,
+                        const obs::TimeSeries* ts) {
+  if (!obs::write_perfetto_trace(opt.trace_path, log, ts) ||
+      !obs::write_text_file(opt.trace_path + ".jsonl",
+                            obs::trace_to_jsonl(log))) {
+    std::fprintf(stderr, "\n[error: could not write trace to %s]\n",
+                 opt.trace_path.c_str());
+    std::exit(1);
+  }
+}
 
 inline data::Dataset load(const std::string& key, const BenchOptions& opt) {
   data::GenOptions g;

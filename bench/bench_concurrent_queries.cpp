@@ -57,7 +57,7 @@ const serve::RouterPolicy kPolicies[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kJson);
   bench::print_header(
       "Concurrent query serving — shared fleet vs serial cold-cache", opt);
   bench::JsonReport json("bench_concurrent_queries", opt);

@@ -63,7 +63,7 @@ double best_fixed_ordering_phc(const table::Table& t) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header("Fig 1 — fixed field ordering case studies", opt);
 
   {

@@ -7,7 +7,7 @@
 using namespace llmq;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header(
       "Fig 3a — filter queries (T1), Llama-3-8B, 1x L4 [simulated]", opt);
 

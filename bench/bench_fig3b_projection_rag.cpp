@@ -29,7 +29,7 @@ void run_set(const std::vector<data::QuerySpec>& specs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header(
       "Fig 3b — projection (T2) + RAG (T5), Llama-3-8B, 1x L4 [simulated]",
       opt);

@@ -7,7 +7,7 @@
 using namespace llmq;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header(
       "Fig 4 — multi-LLM (T3) + aggregation (T4), Llama-3-8B [simulated]",
       opt);

@@ -6,7 +6,7 @@
 using namespace llmq;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header(
       "Fig 5 — filter queries (T1), Llama-3-70B, 8x L4 TP [simulated]", opt);
 

@@ -28,7 +28,7 @@ std::vector<double> exact_match(const std::vector<std::string>& answers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header("Fig 6 — accuracy, original vs GGR ordering", opt);
 
   const std::size_t kResamples = 10000;

@@ -236,6 +236,21 @@ StreamOutcome run_stream(
   return {s.hit_tokens, s.inserted_blocks};
 }
 
+/// The same prompts through a bare RadixTree: one match_into and one
+/// insert_into each, with no lease, pin, stats or path pool. Returns the
+/// matched tokens, which must equal the cache's hit tokens.
+std::uint64_t run_tree_stream(
+    const std::vector<std::vector<tokenizer::TokenId>>& prompts) {
+  cache::RadixTree tree(16);
+  std::vector<cache::NodeId> path;
+  std::uint64_t now = 0, matched = 0;
+  for (const auto& p : prompts) {
+    matched += tree.match_into(p, path);
+    tree.insert_into(p, ++now, SIZE_MAX, path);
+  }
+  return matched;
+}
+
 void bench_radix_stream(const bench::BenchOptions& opt,
                         bench::JsonReport& json) {
   const auto n_prompts = std::max<std::size_t>(
@@ -256,19 +271,30 @@ void bench_radix_stream(const bench::BenchOptions& opt,
       again.hit_tokens != first.hit_tokens ||
       again.inserted_blocks != first.inserted_blocks)
     fail("radix_stream outcome not deterministic across runs");
+  if (run_tree_stream(prompts) != first.hit_tokens)
+    fail("radix_stream cache hits differ from the bare tree's matches");
 
-  const bench::WallClockTimer timer(5, 1);
+  const auto [cache_s, tree_s] =
+      bench::WallClockTimer(5, 1).min_seconds_interleaved(
+          [] {}, [&] { g_sink = run_stream(prompts).hit_tokens; },
+          [] {}, [&] { g_sink = run_tree_stream(prompts); });
   const double us_per_request =
-      timer.min_seconds([&] { g_sink = run_stream(prompts).hit_tokens; }) /
-      static_cast<double>(n_prompts) * 1e6;
+      cache_s / static_cast<double>(n_prompts) * 1e6;
+  const double tree_us_per_request =
+      tree_s / static_cast<double>(n_prompts) * 1e6;
+  // The cache's bookkeeping over the tree walk it wraps: a host speed
+  // change moves both timings, a slower cache cycle only this one.
+  const double vs_tree = us_per_request / tree_us_per_request;
 
   std::printf("radix_stream: %zu shared-prefix requests, %.3f us/request "
-              "(hit_tokens=%llu)\n\n",
-              n_prompts, us_per_request,
+              "(bare tree %.3f, %.2fx; hit_tokens=%llu)\n\n",
+              n_prompts, us_per_request, tree_us_per_request, vs_tree,
               static_cast<unsigned long long>(first.hit_tokens));
   json.add("radix_stream",
            {{"requests", n_prompts},
             {"us_per_request", us_per_request},
+            {"tree_us_per_request", tree_us_per_request},
+            {"vs_tree", vs_tree},
             {"hit_tokens", static_cast<std::size_t>(first.hit_tokens)},
             {"inserted_blocks",
              static_cast<std::size_t>(first.inserted_blocks)}});
@@ -289,32 +315,38 @@ void bench_evict_batch(const bench::BenchOptions& opt,
   for (std::size_t i = 0; i < n_prompts; ++i)
     prompts.push_back(random_tokens(rng, kBlock * kBlocksPerPrompt));
 
-  const auto build = [&] {
-    cache::RadixTree tree(kBlock);
-    std::uint64_t now = 0;
-    for (const auto& p : prompts) tree.insert(p, ++now);
-    return tree;
-  };
-
+  // One tree, filled and drained in turn: each timing's setup is the
+  // other operation, so both run on the same warm arena.
   cache::RadixTree tree(kBlock);
+  std::vector<cache::NodeId> path;
   std::size_t nodes = 0, evicted = 0;
-  const bench::WallClockTimer timer(5, 0);
-  const double best = timer.min_seconds(
-      [&] {
-        tree = build();
-        nodes = tree.num_blocks();
-      },
-      [&] {
-        evicted = tree.evict_lru(nodes);
-        if (evicted != nodes) fail("evict_batch failed to drain the tree");
-      });
-  const double us_per_block = best / static_cast<double>(nodes) * 1e6;
+  const auto build = [&] {
+    std::uint64_t now = 0;
+    for (const auto& p : prompts) tree.insert_into(p, ++now, SIZE_MAX, path);
+    nodes = tree.num_blocks();
+  };
+  const auto drain = [&] {
+    evicted = tree.evict_lru(tree.num_blocks());
+    if (tree.num_blocks() != 0) fail("evict_batch failed to drain the tree");
+  };
+  const auto [build_best, drain_best] =
+      bench::WallClockTimer(5, 1).min_seconds_interleaved(drain, build, build,
+                                                          drain);
+  const double build_us_per_block =
+      build_best / static_cast<double>(nodes) * 1e6;
+  const double us_per_block = drain_best / static_cast<double>(nodes) * 1e6;
+  // Victim selection over the inserts that made the victims: a host speed
+  // change moves both timings, a slower drain only this one.
+  const double vs_build = us_per_block / build_us_per_block;
 
-  std::printf("evict_batch: drained %zu blocks in one call, %.4f us/block\n\n",
-              nodes, us_per_block);
+  std::printf("evict_batch: drained %zu blocks in one call, %.4f us/block "
+              "(build %.4f, %.2fx)\n\n",
+              nodes, us_per_block, build_us_per_block, vs_build);
   json.add("evict_batch", {{"nodes", nodes},
                            {"evicted", evicted},
-                           {"us_per_block", us_per_block}});
+                           {"us_per_block", us_per_block},
+                           {"build_us_per_block", build_us_per_block},
+                           {"vs_build", vs_build}});
 }
 
 // ---- Section: tokenize (prompt encoding of every dataset's rows). ----
@@ -403,11 +435,9 @@ void bench_alloc_steadystate(const bench::BenchOptions& opt,
         pc.release(lease);
       }
     };
-    // Three warm-up passes: pools, slabs, scratch all reach high water. A
-    // striped cache needs the third — each stripe's node free list only
-    // peaks once churn has cycled through every stripe.
+    // Two warm-up passes: pools, slabs, scratch all reach high water.
     const std::uint64_t before_warm = g_allocs.load(std::memory_order_relaxed);
-    for (int i = 0; i < 3; ++i) pass();
+    for (int i = 0; i < 2; ++i) pass();
     const std::uint64_t before_steady =
         g_allocs.load(std::memory_order_relaxed);
     const cache::CacheStats warm = pc.stats();
@@ -424,26 +454,19 @@ void bench_alloc_steadystate(const bench::BenchOptions& opt,
   };
   // Host and disk tiers are bounded too, so tiered churn cascades down to
   // bottom-tier eviction.
-  const auto config = [&](std::size_t tiers, std::size_t stripes) {
-    cache::CacheConfig c{kBlock, kCapacityBlocks, true};
-    c.lock_stripes = stripes;
-    c.tiers = tiers;
-    c.host_capacity_blocks = kCapacityBlocks / 2;
-    c.disk_capacity_blocks = kCapacityBlocks / 4;
-    return c;
+  const auto config = [&](std::size_t tiers) {
+    return cache::CacheConfig{.block_size = kBlock,
+                              .capacity_blocks = kCapacityBlocks,
+                              .tiers = tiers,
+                              .host_capacity_blocks = kCapacityBlocks / 2,
+                              .disk_capacity_blocks = kCapacityBlocks / 4};
   };
-  const auto [warmup_allocs, steady_allocs] = churn(config(1, 0));
-  const std::size_t tiers2_allocs = churn(config(2, 0)).second;
-  const std::size_t tiers3_allocs = churn(config(3, 0)).second;
-  const std::size_t striped_flat_allocs = churn(config(1, 4)).second;
-  const std::size_t striped_tiered_allocs = churn(config(3, 4)).second;
+  const auto [warmup_allocs, steady_allocs] = churn(config(1));
+  const std::size_t tiers2_allocs = churn(config(2)).second;
+  const std::size_t tiers3_allocs = churn(config(3)).second;
   if (steady_allocs != 0) fail("steady-state cache churn allocated");
   if (tiers2_allocs != 0) fail("steady-state 2-tier cache churn allocated");
   if (tiers3_allocs != 0) fail("steady-state 3-tier cache churn allocated");
-  if (striped_flat_allocs != 0)
-    fail("steady-state 4-stripe flat cache churn allocated");
-  if (striped_tiered_allocs != 0)
-    fail("steady-state 4-stripe tiered cache churn allocated");
 
   // Tree-level churn: node slots must stay flat once warm (satellite:
   // recycled slots reuse their storage instead of re-growing it).
@@ -462,26 +485,23 @@ void bench_alloc_steadystate(const bench::BenchOptions& opt,
 
   std::printf("alloc_steadystate: warmup_allocs=%zu steady_allocs=%zu "
               "node_slots_delta=%zu (over %d churn passes); steady allocs "
-              "2-tier=%zu 3-tier=%zu 4-stripe flat=%zu 4-stripe tiered=%zu"
-              "\n\n",
+              "2-tier=%zu 3-tier=%zu\n\n",
               warmup_allocs, steady_allocs, slots_delta, kSteadyPasses,
-              tiers2_allocs, tiers3_allocs, striped_flat_allocs,
-              striped_tiered_allocs);
+              tiers2_allocs, tiers3_allocs);
   json.add("alloc_steadystate",
            {{"steady_passes", static_cast<std::size_t>(kSteadyPasses)},
             {"warmup_allocs", warmup_allocs},
             {"steady_allocs", steady_allocs},
             {"node_slots_delta", slots_delta},
             {"steady_allocs_tiers2", tiers2_allocs},
-            {"steady_allocs_tiers3", tiers3_allocs},
-            {"steady_allocs_striped_flat", striped_flat_allocs},
-            {"steady_allocs_striped_tiered", striped_tiered_allocs}});
+            {"steady_allocs_tiers3", tiers3_allocs}});
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const bench::BenchOptions opt =
+      bench::parse_options(argc, argv, bench::kJson);
   bench::print_header("hot-path microbenchmarks", opt);
   bench::JsonReport json("bench_micro", opt);
 

@@ -86,7 +86,7 @@ int fail(const char* what) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kJson);
   bench::print_header(
       "Serving scenarios — sessions, agents & length-aware scheduling", opt);
   bench::JsonReport json("bench_scenarios", opt);

@@ -67,7 +67,7 @@ std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kJsonAndTrace);
   bench::print_header(
       "Online serving — streaming scheduler, cache-aware windowed reordering",
       opt);
@@ -205,11 +205,9 @@ int main(int argc, char** argv) {
       traced.trace.sink = &log;
       traced.trace.timeseries = &ts;
       (void)serve::run_online(s.table, s.fds, arrivals, traced);
-      if (obs::write_perfetto_trace(opt.trace_path, log, &ts))
-        std::printf("\n[trace: %zu events -> %s (+ %s.jsonl)]\n", log.size(),
-                    opt.trace_path.c_str(), opt.trace_path.c_str());
-      obs::write_text_file(opt.trace_path + ".jsonl",
-                           obs::trace_to_jsonl(log));
+      bench::write_trace(opt, log, &ts);
+      std::printf("\n[trace: %zu events -> %s (+ %s.jsonl)]\n", log.size(),
+                  opt.trace_path.c_str(), opt.trace_path.c_str());
     }
 
     // Overhead guard: wall-clock the same run with tracing disabled (null

@@ -75,7 +75,7 @@ const serve::RouterPolicy kPolicies[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kJson);
   bench::print_header(
       "Replicated serving — cache-affinity routing vs naive sharding", opt);
   bench::JsonReport json("bench_serving_router", opt);

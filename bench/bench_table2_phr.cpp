@@ -7,7 +7,7 @@
 using namespace llmq;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kJson);
   bench::print_header("Table 2 — PHR (%), filter + RAG queries [simulated]",
                       opt);
 

@@ -31,7 +31,7 @@ std::vector<pricing::PricedRequest> build_stream(const table::Table& t,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opt = bench::parse_options(argc, argv);
+  auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header(
       "Table 3 — OpenAI / Anthropic API cost, FEVER-1000, fields x5", opt);
 

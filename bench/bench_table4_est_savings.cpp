@@ -9,7 +9,7 @@
 using namespace llmq;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header("Table 4 — estimated cost savings from PHR [simulated]",
                       opt);
 

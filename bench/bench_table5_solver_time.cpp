@@ -15,7 +15,7 @@
 using namespace llmq;
 
 int main(int argc, char** argv) {
-  auto opt = bench::parse_options(argc, argv);
+  auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header("Table 5 — GGR solver time (s)", opt);
 
   struct Row {

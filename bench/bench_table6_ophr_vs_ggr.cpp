@@ -13,7 +13,7 @@
 using namespace llmq;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header("Table 6 — OPHR vs GGR on small samples", opt);
   const double budget_s = opt.scale >= 1.0 ? 60.0 : 10.0;
 

@@ -9,7 +9,7 @@
 using namespace llmq;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kStdoutOnly);
   bench::print_header(
       "Table 7 — filter queries (T1), Llama-3.2-1B, 1x L4 [simulated]", opt);
 

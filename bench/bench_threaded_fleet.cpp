@@ -81,7 +81,7 @@ std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kJson);
   bench::print_header("Threaded fleet — wall-clock scaling vs replica count",
                       opt);
   bench::JsonReport json("bench_threaded_fleet", opt);

@@ -113,7 +113,7 @@ std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 1); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::kJson);
   bench::print_header("Tiered KV cache + elastic fleet vs flat cache", opt);
   bench::JsonReport json("bench_tiered_cache", opt);
 

@@ -7,34 +7,20 @@
 // prefix), admit() after prefill (inserting newly computed blocks), and
 // release() when the request completes.
 //
-// Threading. By default (lock_stripes == 0) the cache is single-threaded
-// and lock-free, exactly as the virtual-clock simulator uses it. With
-// lock_stripes = S > 0 the cache becomes thread-safe via lock striping:
-// prompts are sharded by a hash of their first (root) token block into S
-// independent radix trees, each behind its own mutex, with a separate
-// accounting mutex guarding the shared stats/clock/pool state. Two
-// prompts can only share tree structure below the root if they share
-// their entire first block, so same-stripe trees partition the node space
-// exactly like one tree whose root children were split by stripe — and
-// because every operation stamps a globally unique logical-clock value,
-// merging the per-stripe victim heaps by age (take_victims_locked)
-// reproduces the single-tree LRU eviction and demotion order exactly.
-// The striped cache is therefore behaviorally identical to the unstriped
-// one under any serialized operation sequence (pinned by tests/cache),
-// which is what lets the threaded fleet runtime stay bit-identical to the
-// virtual-clock oracle. Lock order: stripe mutexes in ascending index
-// first, then the accounting mutex; never the reverse.
+// Threading. The cache has no locks: exactly one thread owns it at a
+// time. The virtual-clock drivers run on one thread, and the threaded
+// runtime hands a replica's cache to one worker inside an epoch and back
+// to the driver at the barrier (DESIGN.md §10); the TSan CI job checks
+// that rule.
 //
-// Cost: every eviction or demotion call scans the node arena once (one
-// victims_begin per stripe) and then pays a heap pop plus one compare
-// per stripe for each block taken, and no steady-state operation
-// allocates — striped and tiered included (bench_micro's
-// alloc_steadystate asserts it).
+// Cost: every eviction or demotion call scans the node arena once
+// (RadixTree::take_victims) and then pays a heap pop for each block
+// taken, and no steady-state operation allocates — tiered included
+// (bench_micro's alloc_steadystate asserts it).
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cache/block_pool.hpp"
@@ -47,9 +33,6 @@ struct CacheConfig {
   std::size_t block_size = 16;      // tokens per KV block (vLLM default)
   std::size_t capacity_blocks = 0;  // GPU-tier capacity; 0 = unlimited
   bool enabled = true;              // false = the paper's "No Cache" arm
-  /// 0 = single-threaded (no locks, one tree — the simulator default).
-  /// S > 0 = thread-safe with S lock stripes / per-stripe trees.
-  std::size_t lock_stripes = 0;
   /// Tier count: 1 = flat GPU-only pool (the pre-tier behavior, bit-
   /// exact), 2 = GPU + host DRAM, 3 = GPU + host + disk. With tiers > 1
   /// GPU pressure demotes cold blocks down instead of destroying them,
@@ -101,9 +84,6 @@ inline CacheStats operator-(CacheStats a, const CacheStats& b) {
 struct CacheLease {
   std::vector<NodeId> path;
   std::size_t cached_tokens = 0;
-  /// Stripe the path lives in (always 0 when unstriped). Recorded at
-  /// lookup so release/admit relock the right tree without rehashing.
-  std::uint32_t stripe = 0;
   /// Blocks this lookup promoted from the host / disk tier back to GPU
   /// (always 0 on a flat cache). The engine prices the transfer into
   /// TTFT before it reuses the prefix — a lower-tier hit is cheaper than
@@ -135,19 +115,17 @@ class PrefixCache {
   PrefixCache& operator=(const PrefixCache&) = delete;
 
   const CacheConfig& config() const { return config_; }
-  /// Snapshot of the hit/eviction counters. By value: with lock striping
-  /// the copy is taken under the accounting mutex so concurrent readers
-  /// never see a half-updated struct.
-  CacheStats stats() const;
+  /// Snapshot of the hit/eviction counters.
+  CacheStats stats() const { return stats_; }
   /// Blocks resident across ALL tiers (== the tree's node count).
-  std::size_t resident_blocks() const;
+  std::size_t resident_blocks() const { return tree_.num_blocks(); }
   /// Blocks resident in GPU memory only — what engine admission budgets
   /// against. Equal to resident_blocks() on a flat cache.
-  std::size_t gpu_resident_blocks() const;
+  std::size_t gpu_resident_blocks() const { return pool_.used(); }
   /// Blocks resident at one tier (0 = GPU, 1 = host, 2 = disk).
   std::size_t tier_resident_blocks(std::uint8_t tier) const;
   /// Blocks currently pinned by outstanding leases (gauge sampling).
-  std::size_t pinned_blocks() const;
+  std::size_t pinned_blocks() const { return tree_.pinned_blocks(); }
 
   /// Bind an event sink (obs/trace.hpp). The cache has no clock of its
   /// own, so the owning session also hands down a pointer to its virtual
@@ -178,10 +156,6 @@ class PrefixCache {
   /// clock advance. This is the router's cache-affinity probe contract: a
   /// replica that merely loses a routing comparison must not have its
   /// recency order or hit accounting perturbed. Always 0 when disabled.
-  /// With lock striping the probe takes its stripe's mutex (tree walks
-  /// race with concurrent insert/evict otherwise) but still leaves every
-  /// counter and recency stamp untouched — transparency is pinned under
-  /// concurrent mutation by tests/cache/test_cache_concurrency.cpp.
   std::size_t peek(std::span<const TokenId> prompt) const;
 
   /// peek() with the matched tokens split by tier — the same no-side-
@@ -258,105 +232,44 @@ class PrefixCache {
  private:
   using EventKind = obs::EventKind;
 
-  /// Mutexes live behind a pointer so the cache stays movable (mutexes
-  /// are not); null when lock_stripes == 0, making every lock helper a
-  /// no-op on the single-threaded path.
-  struct LockState {
-    explicit LockState(std::size_t stripes) : stripe_mu(stripes) {}
-    std::vector<std::mutex> stripe_mu;
-    /// Guards stats_, clock_, pool_, outstanding_pins_. Acquired after
-    /// any stripe mutexes, never before.
-    std::mutex acct_mu;
-  };
-
-  /// Every stripe mutex, locked in ascending index (the global lock
-  /// order) and unlocked in reverse; a no-op over a null LockState.
-  /// Holds no container, so taking the full lock set never allocates.
-  class AllStripes {
-   public:
-    explicit AllStripes(LockState* locks) : locks_(locks) {
-      if (!locks_) return;
-      for (std::mutex& m : locks_->stripe_mu) m.lock();
-    }
-    ~AllStripes() {
-      if (!locks_) return;
-      for (auto m = locks_->stripe_mu.rbegin(); m != locks_->stripe_mu.rend();
-           ++m)
-        m->unlock();
-    }
-    AllStripes(const AllStripes&) = delete;
-    AllStripes& operator=(const AllStripes&) = delete;
-
-   private:
-    LockState* locks_;
-  };
-
-  std::uint32_t stripe_of(std::span<const TokenId> prompt) const;
-  std::unique_lock<std::mutex> lock_stripe(std::uint32_t s) const;
-  std::unique_lock<std::mutex> lock_acct() const;
-  /// All stripe locks, or none when `engage` is false (flat lookups lock
-  /// one stripe instead).
-  AllStripes lock_all_stripes(bool engage = true) const {
-    return AllStripes(engage ? locks_.get() : nullptr);
-  }
-
-  /// Lease-path vector recycling (pre: acct mutex held, when striped).
-  /// Leases carry their path vectors out to callers and bring them back
-  /// on release; pooling the buffers makes the steady-state
-  /// lookup→admit→release cycle allocation-free once capacities warm up.
+  /// Lease-path vector recycling. Leases carry their path vectors out to
+  /// callers and bring them back on release; pooling the buffers makes the
+  /// steady-state lookup→admit→release cycle allocation-free once
+  /// capacities warm up.
   std::vector<NodeId> acquire_path();
   void recycle_path(std::vector<NodeId>&& path);
 
   bool tiered() const { return config_.tiers > 1; }
 
-  CacheLease pinning_match(RadixTree& tree, std::uint32_t stripe,
-                           std::span<const TokenId> prompt);
+  CacheLease pinning_match(std::span<const TokenId> prompt);
 
-  // ---- Victim helpers. Pre for all: every stripe mutex + acct held
-  // (victims can sit in any stripe). ----
-
-  /// The one cross-stripe merge: begin every stripe's victim heap, then
-  /// take up to `n` victims globally oldest first — a k-way merge by
-  /// heap-top age, ties toward the lower stripe, one tree being the
-  /// k = 1 case. Returns victims taken.
-  std::size_t take_victims_locked(RadixTree::VictimKind kind,
-                                  std::uint8_t tier, std::size_t n);
   /// Destroy up to `n` LRU unpinned leaves of `tier` (0 on a flat cache,
   /// the bottom tier on a tiered one) and book them: tier ledger,
   /// evicted_blocks, CacheEvict. Returns blocks destroyed.
-  std::size_t evict_locked(std::uint8_t tier, std::size_t n);
+  std::size_t evict_tier(std::uint8_t tier, std::size_t n);
   /// Demote up to `n` LRU unpinned blocks from `tier` to `tier + 1` and
   /// book them: tier ledgers, demoted_blocks, TierDemote.
-  std::size_t demote_locked(std::uint8_t tier, std::size_t n);
+  std::size_t demote_tier(std::uint8_t tier, std::size_t n);
   /// Demote up to `n` GPU-LRU blocks to host, then rebalance host/disk to
   /// capacity. Returns GPU blocks freed (fewer when everything left is
   /// pinned).
-  std::size_t demote_gpu_locked(std::size_t n);
+  std::size_t demote_gpu(std::size_t n);
   /// Demote until the GPU pool has `need` free blocks (best effort).
-  void make_gpu_room_locked(std::size_t need);
+  void make_gpu_room(std::size_t need);
   /// Push host overflow to disk (3-tier) or destroy bottom-tier LRU
   /// leaves so host/disk stay within their capacities.
-  void rebalance_lower_tiers_locked();
+  void rebalance_lower_tiers();
   /// Promote every lower-tier node of the pinned root-down `path` to
   /// GPU, demoting cold blocks for room. If the pool is pin-saturated,
   /// unpins and drops the non-fitting tail (returns true). `host`/`disk`
   /// receive the blocks promoted from each tier; `cls` tags the
   /// TierPromote event (0 = priced transfer, 1 = recompute refresh).
-  bool promote_pinned_path_locked(RadixTree& tree, std::vector<NodeId>& path,
-                                  std::size_t& host, std::size_t& disk,
-                                  std::uint8_t cls);
+  bool promote_pinned_path(std::vector<NodeId>& path, std::size_t& host,
+                           std::size_t& disk, std::uint8_t cls);
   /// Tiered admit(): refresh-promote the matched prefix, then insert the
   /// remaining new blocks GPU-resident.
-  std::size_t admit_tiered_locked(RadixTree& tree, std::uint32_t stripe,
-                                  std::span<const TokenId> prompt,
-                                  CacheLease& lease);
-  /// Pre: caller holds lease.stripe's mutex and acct (when striped).
-  void release_locked(CacheLease& lease);
-  /// Insert + repin half of admit(). Pre: stripe + acct held; `need` caps
-  /// new nodes. Returns blocks newly inserted.
-  std::size_t admit_insert(RadixTree& tree, std::uint32_t stripe,
-                           std::span<const TokenId> prompt, CacheLease& lease,
-                           std::size_t need);
+  std::size_t admit_tiered(std::span<const TokenId> prompt,
+                           CacheLease& lease);
 
   /// Emission helper: one branch when tracing is off, no allocation.
   void trace(EventKind kind, std::uint64_t a, std::uint64_t b,
@@ -367,23 +280,19 @@ class PrefixCache {
   }
 
   CacheConfig config_;
-  /// One tree per stripe (exactly one when unstriped). Per-stripe trees —
-  /// rather than one tree with striped node locks — keep the hot node
-  /// vector free of cross-thread reallocation races by construction.
-  std::vector<RadixTree> trees_;
+  RadixTree tree_;
   BlockPool pool_;  // the GPU tier: pool_.used() == GPU-resident blocks
-  /// Blocks resident at the host / disk tiers (acct-guarded; both stay 0
-  /// on a flat cache).
+  /// Blocks resident at the host / disk tiers (both stay 0 on a flat
+  /// cache).
   std::size_t host_used_ = 0;
   std::size_t disk_used_ = 0;
   CacheStats stats_;
   std::uint64_t clock_ = 0;
   /// Outstanding (lease, node) pin edges — incremented when a lease pins
-  /// a path, decremented on release; mirrors the trees' total ref count.
+  /// a path, decremented on release; mirrors the tree's total ref count.
   std::uint64_t outstanding_pins_ = 0;
-  /// Retired lease-path buffers awaiting reuse (guarded by acct_mu).
+  /// Retired lease-path buffers awaiting reuse.
   std::vector<std::vector<NodeId>> path_pool_;
-  std::unique_ptr<LockState> locks_;
   obs::TraceSink* trace_ = nullptr;
   std::uint32_t trace_replica_ = 0;
   const double* trace_clock_ = nullptr;

@@ -230,54 +230,52 @@ void RadixTree::unpin(std::span<const NodeId> path) {
   }
 }
 
-bool RadixTree::is_victim(const Node& n) const {
-  if (!n.alive || n.ref_count != 0 || n.tier != victim_tier_) return false;
-  if (victim_kind_ == VictimKind::Evict) return n.children.empty();
+bool RadixTree::is_victim(const Node& n, VictimKind kind,
+                          std::uint8_t tier) const {
+  if (!n.alive || n.ref_count != 0 || n.tier != tier) return false;
+  if (kind == VictimKind::Evict) return n.children.empty();
   for (NodeId c : n.children)
-    if (pool_[c].tier == victim_tier_) return false;
+    if (pool_[c].tier == tier) return false;
   return true;
 }
 
-void RadixTree::victims_begin(VictimKind kind, std::uint8_t tier) {
-  victim_kind_ = kind;
-  victim_tier_ = tier;
+std::size_t RadixTree::take_victims(VictimKind kind, std::uint8_t tier,
+                                    std::size_t n) {
+  if (n == 0) return 0;
+  // std::greater pops the oldest, lowest-id first.
+  const auto cmp = std::greater<>{};
   victim_heap_.clear();
   for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& n = pool_[id];
-    if (is_victim(n)) victim_heap_.emplace_back(n.last_access, id);
+    const Node& node = pool_[id];
+    if (is_victim(node, kind, tier))
+      victim_heap_.emplace_back(node.last_access, id);
   }
-  std::make_heap(victim_heap_.begin(), victim_heap_.end(), std::greater<>{});
-}
-
-void RadixTree::victims_take() {
-  // std::greater pops the oldest, lowest-id first. Taking a victim only
-  // changes the victim status of its parent: an evicted leaf may leave
-  // the parent a leaf, and a demoted node's children already sit below
-  // its old tier, so only the parent can lose its last same-tier child.
-  // The parent was not a victim before (the victim was its child in the
-  // tier), so it is never pushed twice.
-  const auto cmp = std::greater<>{};
-  std::pop_heap(victim_heap_.begin(), victim_heap_.end(), cmp);
-  const NodeId victim = victim_heap_.back().second;
-  victim_heap_.pop_back();
-  const NodeId parent = pool_[victim].parent;
-  if (victim_kind_ == VictimKind::Evict)
-    remove_node(victim);
-  else
-    ++pool_[victim].tier;
-  if (parent != 0 && is_victim(pool_[parent])) {
-    victim_heap_.emplace_back(pool_[parent].last_access, parent);
-    std::push_heap(victim_heap_.begin(), victim_heap_.end(), cmp);
+  std::make_heap(victim_heap_.begin(), victim_heap_.end(), cmp);
+  std::size_t taken = 0;
+  for (; taken < n && !victim_heap_.empty(); ++taken) {
+    // Taking a victim only changes the victim status of its parent: an
+    // evicted leaf may leave the parent a leaf, and a demoted node's
+    // children already sit below its old tier, so only the parent can
+    // lose its last same-tier child. The parent was not a victim before
+    // (the victim was its child in the tier), so it is never pushed twice.
+    std::pop_heap(victim_heap_.begin(), victim_heap_.end(), cmp);
+    const NodeId victim = victim_heap_.back().second;
+    victim_heap_.pop_back();
+    const NodeId parent = pool_[victim].parent;
+    if (kind == VictimKind::Evict)
+      remove_node(victim);
+    else
+      ++pool_[victim].tier;
+    if (parent != 0 && is_victim(pool_[parent], kind, tier)) {
+      victim_heap_.emplace_back(pool_[parent].last_access, parent);
+      std::push_heap(victim_heap_.begin(), victim_heap_.end(), cmp);
+    }
   }
+  return taken;
 }
 
 std::size_t RadixTree::evict_lru(std::size_t want) {
-  if (want == 0) return 0;
-  victims_begin(VictimKind::Evict, 0);
-  std::size_t evicted = 0;
-  for (; evicted < want && victims_top() != UINT64_MAX; ++evicted)
-    victims_take();
-  return evicted;
+  return take_victims(VictimKind::Evict, 0, want);
 }
 
 std::string RadixTree::check_invariants() const {

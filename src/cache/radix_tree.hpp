@@ -16,11 +16,11 @@
 // whose fan-out reaches kIndexMinFanout carry an open-addressed child
 // table that turns find_child into O(1) probes.
 //
-// Victims: eviction and demotion share one victim heap. victims_begin()
+// Victims: eviction and demotion share one entry point. take_victims()
 // scans the arena once and heaps the current victims of one tier by
-// (last_access, id); victims_take() pops the oldest, evicts or demotes
-// it, and pushes its parent if that made the parent a victim. Nothing
-// else changes the victim set between takes, so a batch of k takes is
+// (last_access, id), then pops the oldest, evicts or demotes it, and
+// pushes its parent if that made the parent a victim. Nothing else
+// changes the victim set between pops, so taking k victims in one call is
 // exactly k rounds of "rescan, take the oldest" for one scan.
 //
 // Tiers (DESIGN.md §13): each node carries a tier tag — 0 = GPU, 1 =
@@ -103,34 +103,21 @@ class RadixTree {
   void pin(std::span<const NodeId> path);
   void unpin(std::span<const NodeId> path);
 
-  /// What victims_take() does to a victim. Evict destroys an unpinned
+  /// What take_victims() does to a victim. Evict destroys an unpinned
   /// leaf of the tier; Demote moves an unpinned node of the tier that has
   /// no child in the tier down one tier (no structural change).
   enum class VictimKind : std::uint8_t { Evict, Demote };
 
-  /// Scan the arena once and heap every current `kind` victim at `tier`
-  /// by (last_access, id), oldest first and ties toward the lower id.
-  /// Replaces the heap of any earlier begin. The heap stays valid until
-  /// the tree is mutated other than through victims_take().
-  void victims_begin(VictimKind kind, std::uint8_t tier);
+  /// Evict or demote up to `n` `kind` victims at `tier`, oldest
+  /// (last_access, id) first. One arena scan heaps the current victims;
+  /// each take pushes the victim's parent if that made the parent a
+  /// victim, so the heap always holds exactly the victims a fresh scan
+  /// would. Returns the number taken (fewer when the tier runs out of
+  /// victims: everything left is pinned or has children in the tier).
+  std::size_t take_victims(VictimKind kind, std::uint8_t tier, std::size_t n);
 
-  /// last_access of the victim victims_take() would take next, or
-  /// UINT64_MAX when none is left. Lets a sharded owner (PrefixCache with
-  /// lock striping) merge per-stripe heaps by age: every operation stamps
-  /// a globally unique clock value, so the merged order is exactly the
-  /// order one tree holding every stripe would give.
-  std::uint64_t victims_top() const {
-    return victim_heap_.empty() ? UINT64_MAX : victim_heap_.front().first;
-  }
-
-  /// Evict or demote the top victim (pre: victims_top() != UINT64_MAX).
-  /// If that makes its parent a victim, the parent joins the heap, so the
-  /// heap always holds exactly the victims a fresh victims_begin() would.
-  void victims_take();
-
-  /// Evict up to `want` least-recently-used, unpinned tier-0 leaves (one
-  /// victims_begin, then victims_take until done). Returns the number
-  /// actually evicted (fewer if everything is pinned or has children).
+  /// Evict up to `want` least-recently-used, unpinned tier-0 leaves
+  /// (take_victims(Evict, 0, want)). Returns the number actually evicted.
   std::size_t evict_lru(std::size_t want);
 
   /// Total pinned nodes (diagnostics / tests).
@@ -146,8 +133,7 @@ class RadixTree {
   /// Tier of one alive node (0 = GPU).
   std::uint8_t node_tier(NodeId id) const { return pool_[id].tier; }
 
-  /// Recency stamp of one alive node (for cross-stripe recency merges —
-  /// stamps are globally unique, so the merged order is total).
+  /// Recency stamp of one alive node (diagnostics / tests).
   std::uint64_t node_last_access(NodeId id) const {
     return pool_[id].last_access;
   }
@@ -235,8 +221,8 @@ class RadixTree {
     return {base, block_size_};
   }
 
-  /// The victim predicate of the current victims_begin(kind, tier).
-  bool is_victim(const Node& n) const;
+  /// Whether `n` is a `kind` victim at `tier` (see VictimKind).
+  bool is_victim(const Node& n, VictimKind kind, std::uint8_t tier) const;
 
   NodeId find_child(NodeId node, std::span<const TokenId> block) const;
   NodeId add_child(NodeId node, std::span<const TokenId> block,
@@ -253,8 +239,6 @@ class RadixTree {
   std::size_t num_blocks_ = 0;
   // Victim heap: (last_access, id) min-heap, capacity reused.
   std::vector<std::pair<std::uint64_t, NodeId>> victim_heap_;
-  VictimKind victim_kind_ = VictimKind::Evict;
-  std::uint8_t victim_tier_ = 0;
 };
 
 }  // namespace llmq::cache

@@ -11,15 +11,13 @@ ServingEngine::ServingEngine(CostModel cost, EngineConfig config)
                      : cost_.kv_pool_blocks(config_.block_size);
 }
 
-cache::PrefixCache ServingEngine::make_session_cache(
-    std::size_t lock_stripes) const {
+cache::PrefixCache ServingEngine::make_session_cache() const {
   // Cache holds the shared prompt blocks; the engine enforces the global
   // KV budget over cached + per-request private blocks, driving eviction.
   cache::CacheConfig cc;
   cc.block_size = config_.block_size;
   cc.capacity_blocks = 0;  // engine-enforced budget
   cc.enabled = config_.cache_enabled;
-  cc.lock_stripes = lock_stripes;
   cc.tiers = config_.cache_tiers;
   cc.host_capacity_blocks = config_.host_capacity_blocks;
   cc.disk_capacity_blocks = config_.disk_capacity_blocks;

@@ -42,8 +42,7 @@ llm::EngineMetrics aggregate_replica_engines(
   return agg;
 }
 
-ReplicaFleet::ReplicaFleet(const FleetConfig& config,
-                           std::size_t lock_stripes)
+ReplicaFleet::ReplicaFleet(const FleetConfig& config)
     : router_(config.router,
               config.elasticity.enabled
                   ? config.elasticity.ceiling(config.n_replicas)
@@ -57,7 +56,7 @@ ReplicaFleet::ReplicaFleet(const FleetConfig& config,
                                 : config.n_replicas;
   replicas_.reserve(total);
   for (std::size_t r = 0; r < total; ++r)
-    replicas_.push_back(std::make_unique<Replica>(config, lock_stripes));
+    replicas_.push_back(std::make_unique<Replica>(config));
   counters_.resize(total);
   active_.assign(total, 0);
   draining_.assign(total, 0);

@@ -8,7 +8,8 @@
 //     requests into the fleet; the virtual-clock driver steps it one
 //     replica step at a time, the threaded runtime (threaded_fleet.hpp) is
 //     this same class plus a worker pool that steps replicas in parallel
-//     between dispatches;
+//     between dispatches — each replica (engine, session, lock-free
+//     cache) on one thread at a time;
 //   * the query-serving client (query_client.hpp): concurrent relational
 //     queries submit their per-row invocations into the same fleet.
 //
@@ -111,10 +112,7 @@ llm::EngineMetrics aggregate_replica_engines(
 class ReplicaFleet {
  public:
   /// Throws std::invalid_argument when config.n_replicas == 0.
-  /// `lock_stripes` is each replica cache's CacheConfig::lock_stripes
-  /// (0 = the unstriped single-threaded cache).
-  explicit ReplicaFleet(const FleetConfig& config,
-                        std::size_t lock_stripes = 0);
+  explicit ReplicaFleet(const FleetConfig& config);
 
   std::size_t n_replicas() const { return replicas_.size(); }
 
@@ -190,9 +188,9 @@ class ReplicaFleet {
     cache::PrefixCache cache;
     llm::EngineSession session;
 
-    Replica(const FleetConfig& config, std::size_t lock_stripes)
+    explicit Replica(const FleetConfig& config)
         : engine(llm::CostModel(config.model, config.gpu), config.engine),
-          cache(engine.make_session_cache(lock_stripes)),
+          cache(engine.make_session_cache()),
           session(engine, cache) {}
   };
 

@@ -11,7 +11,7 @@ namespace llmq::serve {
 
 ThreadedFleet::ThreadedFleet(const FleetConfig& config,
                              ThreadedFleetOptions options)
-    : ReplicaFleet(config, options.cache_lock_stripes) {
+    : ReplicaFleet(config) {
   // Thread cap: leave one core for the driver, never exceed one worker
   // per replica. Replica i belongs to worker i % T.
   std::size_t cap = options.max_threads;

@@ -18,7 +18,8 @@
 //   blocks the driver until every worker has reported — so no session,
 //   cache, or trace sink is ever touched by two threads at once. The
 //   inbox/outbox handoff (util/mpsc_queue.hpp) is the happens-before edge
-//   in both directions.
+//   in both directions. PrefixCache has no locks, so this rule is all
+//   that keeps the caches race-free; the TSan CI job checks it.
 //
 //   Epochs. The driver computes the next virtual time T at which anything
 //   observable can happen — a window deadline, the arrival that fills a
@@ -61,11 +62,6 @@
 namespace llmq::serve {
 
 struct ThreadedFleetOptions {
-  /// Lock stripes for each replica's PrefixCache (0 = unstriped). No
-  /// replica's cache is touched by two threads at once, so striping is not
-  /// needed for safety; the default keeps exercising the striped cache,
-  /// whose striped == unstriped behavior is pinned in tests/cache.
-  std::size_t cache_lock_stripes = 8;
   /// Worker-thread ceiling; 0 = one less than
   /// std::thread::hardware_concurrency() (floor 1), leaving a core for
   /// the driver. When the fleet has more replicas than workers, replica i

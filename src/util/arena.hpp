@@ -14,8 +14,8 @@
 //
 // Indices are stable for the lifetime of the pool (slabs are never moved
 // or freed), so callers may hold raw slot indices across allocations.
-// Not thread-safe; callers serialize access (RadixTree is externally
-// locked per stripe).
+// Not thread-safe; callers serialize access (a RadixTree belongs to one
+// PrefixCache, which one thread owns at a time).
 
 #include <cstddef>
 #include <cstdint>

@@ -5,7 +5,7 @@
 //
 //   * lcp(a, b, n)   — length of the longest common prefix of two runs;
 //   * equal(a, b, n) — whole-run equality (the radix block compare);
-//   * hash(d, n)     — 64-bit block hash (child-table index, stripe pick).
+//   * hash(d, n)     — 64-bit block hash (the radix child-table index).
 //
 // Each has a scalar reference implementation (namespace scalar) that IS
 // the specification, and SIMD forms (AVX2 / NEON) that are bit-identical

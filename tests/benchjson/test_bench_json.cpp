@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -172,10 +173,16 @@ const std::vector<BenchSpec>& bench_specs() {
         {"radix_stream",
          {{"requests", kNum},
           {"us_per_request", kNum},
+          {"tree_us_per_request", kNum},
+          {"vs_tree", kNum},
           {"hit_tokens", kNum},
           {"inserted_blocks", kNum}}},
         {"evict_batch",
-         {{"nodes", kNum}, {"evicted", kNum}, {"us_per_block", kNum}}},
+         {{"nodes", kNum},
+          {"evicted", kNum},
+          {"us_per_block", kNum},
+          {"build_us_per_block", kNum},
+          {"vs_build", kNum}}},
         {"tokenize",
          {{"dataset", kStr},
           {"rows", kNum},
@@ -345,17 +352,57 @@ std::string spec_name(const ::testing::TestParamInfo<BenchSpec>& info) {
 INSTANTIATE_TEST_SUITE_P(AllJsonBenches, BenchJsonSchema,
                          ::testing::ValuesIn(bench_specs()), spec_name);
 
-// A mistyped flag, a flag missing its value, or a non-numeric scale is a
-// usage error (exit status 2), never a silent run of the default config.
+/// Exit status and stderr of `bench args` (stdout discarded).
+struct CliRun {
+  int status = -1;
+  std::string err;
+};
+
+CliRun run_cli(const std::string& bench, const std::string& args) {
+  const std::string cmd = std::string(LLMQ_BIN_DIR) + "/" + bench + " " +
+                          args + " 2>&1 > /dev/null";
+  CliRun run;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return run;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) run.err += buf;
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) run.status = WEXITSTATUS(status);
+  return run;
+}
+
+// A mistyped flag, a flag missing its value, a non-numeric scale, or an
+// output the bench does not write is a usage error (exit status 2, with a
+// usage line naming only that bench's flags), never a silent run of the
+// default config. An output file that cannot be written exits 1.
 TEST(BenchCli, BadFlagsExitWithUsageError) {
-  const std::string binary = std::string(LLMQ_BIN_DIR) + "/bench_table2_phr";
-  if (!file_exists(binary))
-    GTEST_SKIP() << binary << " not built (benches disabled?)";
-  for (const char* args : {"--sclae 0.02", "--scale", "--scale abc"}) {
-    const std::string cmd = binary + " " + args + " > /dev/null 2>&1";
-    const int status = std::system(cmd.c_str());
-    ASSERT_TRUE(WIFEXITED(status)) << cmd;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+  for (const char* bench :
+       {"bench_table2_phr", "bench_fig3a_filter", "bench_chunked_prefill"})
+    if (!file_exists(std::string(LLMQ_BIN_DIR) + "/" + bench))
+      GTEST_SKIP() << bench << " not built (benches disabled?)";
+  for (const char* args :
+       {"--sclae 0.02", "--scale", "--scale abc", "--trace p"}) {
+    const CliRun run = run_cli("bench_table2_phr", args);
+    EXPECT_EQ(run.status, 2) << args;
+    EXPECT_NE(run.err.find("usage:"), std::string::npos) << args;
+    EXPECT_NE(run.err.find("[--json path]"), std::string::npos) << args;
+    EXPECT_EQ(run.err.find("--trace path"), std::string::npos) << args;
+  }
+  for (const char* args : {"--json p", "--trace p"}) {
+    const CliRun run = run_cli("bench_fig3a_filter", args);
+    EXPECT_EQ(run.status, 2) << args;
+    EXPECT_NE(run.err.find("usage:"), std::string::npos) << args;
+    EXPECT_EQ(run.err.find("--json path"), std::string::npos) << args;
+    EXPECT_EQ(run.err.find("--trace path"), std::string::npos) << args;
+  }
+  for (const auto& [bench, args] :
+       {std::pair{"bench_table2_phr",
+                  "--scale 0.02 --json /nonexistent/dir/x.json"},
+        std::pair{"bench_chunked_prefill",
+                  "--scale 0.01 --trace /nonexistent/dir/t.json"}}) {
+    const CliRun run = run_cli(bench, args);
+    EXPECT_EQ(run.status, 1) << bench << " " << args;
+    EXPECT_NE(run.err.find("could not write"), std::string::npos) << args;
   }
 }
 

@@ -9,9 +9,9 @@
 // that must be acknowledged by regenerating the snapshot, not discovered
 // by downstream tooling. Wall-clock keys measure the host, not the code:
 // virtual-time benches never compare them at all, and bench_micro's
-// wall-clock keys (same-run ratios, plus two end-to-end us/op values in a
-// coarse catastrophe band) are compared only between release
-// non-sanitizer builds (provenance gate).
+// wall-clock keys (same-run ratios only; its us/op values are report-only)
+// are compared only between release non-sanitizer builds (provenance
+// gate).
 
 #include <gtest/gtest.h>
 
@@ -37,7 +37,9 @@ namespace {
 
 /// Which drift fails a key. A same-run ratio fails only in the direction a
 /// regression moves it: a faster dispatched kernel is not a regression.
-enum class Fails { Either, Below, Above };
+/// Ceiling fails a rerun value above `tol` itself, without reading the
+/// snapshot (whose value may predate the key).
+enum class Fails { Either, Below, Above, Ceiling };
 
 struct DiffKey {
   const char* section;
@@ -163,7 +165,12 @@ const std::vector<GoldenSpec>& golden_specs() {
       // 0.46), and a 2x slower dispatched kernel halves it. A hashed child
       // lookup may not cost more than twice its snapshot multiple of the
       // fan-out-4 scan (a lost child index is 10x+). The two end-to-end
-      // cache timings keep their 2x band.
+      // cache timings are gated as fixed ceilings on same-run ratios:
+      // the cache cycle over a bare tree walk of the same prompts
+      // (vs_tree), and a drain over the build of the same tree
+      // (vs_build). Over 90 lone runs on that VM they read 1.21-1.63 and
+      // 1.00-1.38; an injected slowdown doubling the cache cycle or the
+      // drain read at least 2.64 and 2.06.
       {"bench_micro",
        "BENCH_micro.json",
        {{"token_ops", "hash_check", false, 0.0},
@@ -173,18 +180,16 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"radix_fanout", "hit_vs_fanout4", true, 1.0, true, Fails::Above},
         {"radix_stream", "hit_tokens", false, 0.0},
         {"radix_stream", "inserted_blocks", false, 0.0},
-        {"radix_stream", "us_per_request", true, 1.0, true},
+        {"radix_stream", "vs_tree", false, 2.0, true, Fails::Ceiling},
         {"evict_batch", "evicted", false, 0.0},
-        {"evict_batch", "us_per_block", true, 1.0, true},
+        {"evict_batch", "vs_build", false, 1.7, true, Fails::Ceiling},
         {"tokenize", "rows", false, 0.0},
         {"tokenize", "tokens", false, 0.0},
         {"tokenize", "fingerprint", false, 0.0},
         {"alloc_steadystate", "steady_allocs", false, 0.0},
         {"alloc_steadystate", "node_slots_delta", false, 0.0},
         {"alloc_steadystate", "steady_allocs_tiers2", false, 0.0},
-        {"alloc_steadystate", "steady_allocs_tiers3", false, 0.0},
-        {"alloc_steadystate", "steady_allocs_striped_flat", false, 0.0},
-        {"alloc_steadystate", "steady_allocs_striped_tiered", false, 0.0}}},
+        {"alloc_steadystate", "steady_allocs_tiers3", false, 0.0}}},
       // Tier hierarchy + elasticity. PHR and tails use the standard
       // bands; the headline tiered-vs-flat ordering is re-asserted by the
       // bench itself (it exits nonzero on violation), so the golden pins
@@ -279,6 +284,18 @@ TEST_P(BenchGoldenDiff, HeadlineNumbersMatchSnapshotWithinTolerance) {
     ASSERT_NE(frecs, nullptr) << "rerun lacks section " << dk.section;
     ASSERT_EQ(grecs->as_array().size(), frecs->as_array().size())
         << dk.section << " record count changed — regenerate the golden";
+    if (dk.fails == Fails::Ceiling) {
+      std::size_t i = 0;
+      for (const util::JsonValue& rec : frecs->as_array()) {
+        const util::JsonValue* fv = rec.find(dk.key);
+        ASSERT_NE(fv, nullptr) << dk.section << "[" << i << "]." << dk.key;
+        EXPECT_LE(fv->as_number(), dk.tol)
+            << dk.section << "[" << i << "]." << dk.key
+            << " exceeds its ceiling";
+        ++i;
+      }
+      continue;
+    }
     const auto check = [&](const std::string& where, double g, double f) {
       const double allowed =
           dk.relative ? std::max(dk.tol * std::fabs(g), 1e-3) : dk.tol;

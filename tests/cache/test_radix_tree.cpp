@@ -264,16 +264,14 @@ std::vector<std::size_t> tier_fingerprint(const RadixTree& t) {
   return out;
 }
 
-/// Take up to `k` victims from one heap, or from a fresh heap per victim.
-std::size_t take_victims(RadixTree& t, RadixTree::VictimKind kind,
-                         std::uint8_t tier, std::size_t k, bool one_by_one) {
+/// Take up to `k` victims as k calls of take_victims(1): a fresh scan per
+/// victim, with the invariants checked after each.
+std::size_t take_one_by_one(RadixTree& t, RadixTree::VictimKind kind,
+                            std::uint8_t tier, std::size_t k) {
   std::size_t taken = 0;
-  if (!one_by_one) t.victims_begin(kind, tier);
-  for (; taken < k; ++taken) {
-    if (one_by_one) t.victims_begin(kind, tier);
-    if (t.victims_top() == UINT64_MAX) break;
-    t.victims_take();
-    EXPECT_EQ(t.check_invariants(), "") << "after victim " << taken;
+  for (std::size_t i = 0; i < k; ++i) {
+    taken += t.take_victims(kind, tier, 1);
+    EXPECT_EQ(t.check_invariants(), "") << "after victim " << i;
   }
   return taken;
 }
@@ -295,10 +293,10 @@ TEST(RadixTree, SharedStampTreeHasChildWithLowerIdThanParent) {
 
 TEST(RadixTree, BatchDemotionMatchesOneByOneOnSharedStamps) {
   // One heap demotes a parent only once its last same-tier child has
-  // gone, so batch demotion stays tier-monotone even where parent and
-  // child share a stamp, and takes exactly the blocks one-at-a-time
-  // demotion (a fresh scan per victim) takes: GPU -> host, host -> disk,
-  // then bottom-tier eviction.
+  // gone, so take_victims(k) stays tier-monotone even where parent and
+  // child share a stamp, and takes exactly the blocks k calls of
+  // take_victims(1) (a fresh scan per victim) take: GPU -> host,
+  // host -> disk, then bottom-tier eviction.
   using Kind = RadixTree::VictimKind;
   for (std::size_t k : {1u, 2u, 4u, 7u, 11u, 100u}) {
     SCOPED_TRACE("k=" + std::to_string(k));
@@ -307,9 +305,10 @@ TEST(RadixTree, BatchDemotionMatchesOneByOneOnSharedStamps) {
     const std::pair<Kind, std::uint8_t> phases[] = {
         {Kind::Demote, 0}, {Kind::Demote, 1}, {Kind::Evict, 2}};
     for (const auto& [kind, tier] : phases) {
-      EXPECT_EQ(take_victims(batch, kind, tier, k, false),
-                take_victims(single, kind, tier, k, true))
+      EXPECT_EQ(batch.take_victims(kind, tier, k),
+                take_one_by_one(single, kind, tier, k))
           << "tier " << int{tier};
+      EXPECT_EQ(batch.check_invariants(), "") << "tier " << int{tier};
       EXPECT_EQ(tier_fingerprint(batch), tier_fingerprint(single))
           << "tier " << int{tier};
     }
@@ -322,10 +321,10 @@ TEST(RadixTree, PinnedNodesAreNeverVictims) {
   t.pin(path);
   const std::size_t blocks = t.num_blocks();
   const std::size_t demoted =
-      take_victims(t, RadixTree::VictimKind::Demote, 0, 1000, false);
+      t.take_victims(RadixTree::VictimKind::Demote, 0, 1000);
   EXPECT_EQ(demoted, blocks - path.size());
   for (NodeId id : path) EXPECT_EQ(t.node_tier(id), 0u);
-  EXPECT_EQ(take_victims(t, RadixTree::VictimKind::Evict, 0, 1000, false), 0u);
+  EXPECT_EQ(t.take_victims(RadixTree::VictimKind::Evict, 0, 1000), 0u);
   t.unpin(path);
   EXPECT_EQ(t.check_invariants(), "");
 }

@@ -47,8 +47,11 @@ class TieredChurn : public ::testing::TestWithParam<TieredChurnParams> {};
 TEST_P(TieredChurn, TierLedgerHoldsUnderRandomInterleavings) {
   const auto p = GetParam();
   util::Rng rng(p.seed * 9371 + 13);
-  PrefixCache cache(CacheConfig{p.block, p.gpu_cap, true, 0, p.tiers,
-                                p.host_cap, p.disk_cap});
+  PrefixCache cache(CacheConfig{.block_size = p.block,
+                                .capacity_blocks = p.gpu_cap,
+                                .tiers = p.tiers,
+                                .host_capacity_blocks = p.host_cap,
+                                .disk_capacity_blocks = p.disk_cap});
 
   std::vector<tokenizer::TokenSeq> prompts;  // shared-prefix-heavy pool
   for (int i = 0; i < 12; ++i)
@@ -118,9 +121,13 @@ TEST_P(TieredChurn, TierLedgerHoldsUnderRandomInterleavings) {
     // Only demoted blocks can ever be promoted back.
     ASSERT_LE(cache.stats().promoted_blocks, cache.stats().demoted_blocks);
     // Tiering never destroys a block that a flat cache would have kept:
-    // residency still reconciles against the insert/evict counters.
+    // residency still reconciles against the insert/evict counters, and
+    // an unbounded host tier catches every demoted block.
     ASSERT_EQ(cache.resident_blocks(),
               cache.stats().inserted_blocks - cache.stats().evicted_blocks);
+    if (p.host_cap == 0) {
+      ASSERT_EQ(cache.stats().evicted_blocks, 0u) << "step " << step;
+    }
   }
 
   // Drain: release everything, then the whole hierarchy must empty.
@@ -162,7 +169,7 @@ TEST(TieredCache, UnpressuredTieredMatchesFlatExactly) {
   // bit-identity contract, exercised from the other side.
   util::Rng rng(77);
   PrefixCache flat(CacheConfig{4, 0, true});
-  PrefixCache tiered(CacheConfig{4, 0, true, 0, 3, 0, 0});
+  PrefixCache tiered(CacheConfig{.block_size = 4, .tiers = 3});
   std::vector<tokenizer::TokenSeq> prompts;
   for (int i = 0; i < 10; ++i) prompts.push_back(random_prompt(rng, 24, 3));
 
@@ -190,7 +197,8 @@ TEST(TieredCache, DemotionPreservesHitsAndPromotionRestoresGpu) {
   // pressure that would zero a flat cache's hit rate must leave a tiered
   // cache able to serve the prefix from host — at a price the lease
   // reports so the engine can charge it.
-  PrefixCache cache(CacheConfig{4, 4, true, 0, 2, 0, 0});
+  PrefixCache cache(
+      CacheConfig{.block_size = 4, .capacity_blocks = 4, .tiers = 2});
   tokenizer::TokenSeq prompt(16);
   std::iota(prompt.begin(), prompt.end(), 100u);
 
@@ -222,8 +230,15 @@ TEST(TieredCache, DemotionPreservesHitsAndPromotionRestoresGpu) {
 TEST(TieredCache, HostPressureCascadesToDiskThenDestroys) {
   // tiers=3: host overflow demotes to disk; disk overflow (or tiers=2
   // host overflow) is destroyed for real and shows up in evicted_blocks.
-  PrefixCache cascade(CacheConfig{2, 2, true, 0, 3, 2, 2});
-  PrefixCache two_tier(CacheConfig{2, 2, true, 0, 2, 2, 0});
+  PrefixCache cascade(CacheConfig{.block_size = 2,
+                                  .capacity_blocks = 2,
+                                  .tiers = 3,
+                                  .host_capacity_blocks = 2,
+                                  .disk_capacity_blocks = 2});
+  PrefixCache two_tier(CacheConfig{.block_size = 2,
+                                   .capacity_blocks = 2,
+                                   .tiers = 2,
+                                   .host_capacity_blocks = 2});
 
   // Three disjoint 2-block prompts = 6 blocks through a 2-block GPU.
   for (int i = 0; i < 3; ++i) {
@@ -252,29 +267,24 @@ TEST(TieredCache, HostPressureCascadesToDiskThenDestroys) {
 
 // ---- Batch victims == one-by-one victims. ----
 
-struct BatchParams {
-  std::size_t tiers;
-  std::size_t stripes;
-};
-
-std::ostream& operator<<(std::ostream& os, const BatchParams& p) {
-  return os << "t" << p.tiers << "s" << p.stripes;
-}
-
-class BatchVictims : public ::testing::TestWithParam<BatchParams> {};
+class BatchVictims : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BatchVictims, EvictOfKMatchesKEvictsOfOne) {
   // One seeded op stream drives twin caches; on every evict op one twin
-  // takes k victims in one call (one heap per stripe, merged) and the
-  // other takes them one call at a time (a fresh scan per victim). The
-  // batch must pick exactly the blocks the per-victim loop picks — GPU
-  // demotions, host->disk cascades and bottom-tier deaths included — so
-  // the twins agree on every counter, tier and per-prompt tier split.
-  const BatchParams p = GetParam();
-  CacheConfig c{2, 12, true, p.stripes, p.tiers, 8, 6};
+  // takes k victims in one call (one victim heap) and the other takes
+  // them one call at a time (a fresh scan per victim). The batch must
+  // pick exactly the blocks the per-victim loop picks — GPU demotions,
+  // host->disk cascades and bottom-tier deaths included — so the twins
+  // agree on every counter, tier and per-prompt tier split.
+  const std::size_t tiers = GetParam();
+  const CacheConfig c{.block_size = 2,
+                      .capacity_blocks = 12,
+                      .tiers = tiers,
+                      .host_capacity_blocks = 8,
+                      .disk_capacity_blocks = 6};
   PrefixCache batch(c);
   PrefixCache single(c);
-  util::Rng rng(4242 + 10 * p.tiers + p.stripes);
+  util::Rng rng(4242 + 10 * tiers);
   std::vector<tokenizer::TokenSeq> prompts;
   for (int i = 0; i < 16; ++i) prompts.push_back(random_prompt(rng, 14, 3));
   std::vector<CacheLease> held_batch, held_single;
@@ -318,20 +328,12 @@ TEST_P(BatchVictims, EvictOfKMatchesKEvictsOfOne) {
   }
   // The stream must really have exercised the victim paths.
   EXPECT_GT(batch.stats().evicted_blocks, 0u);
-  if (p.tiers > 1) {
+  if (tiers > 1) {
     EXPECT_GT(batch.stats().demoted_blocks, 0u);
   }
 }
 
-std::vector<BatchParams> batch_sweep() {
-  std::vector<BatchParams> out;
-  for (std::size_t tiers : {1u, 2u, 3u})
-    for (std::size_t stripes : {0u, 2u, 8u}) out.push_back({tiers, stripes});
-  return out;
-}
-
-INSTANTIATE_TEST_SUITE_P(TiersByStripes, BatchVictims,
-                         ::testing::ValuesIn(batch_sweep()));
+INSTANTIATE_TEST_SUITE_P(Tiers, BatchVictims, ::testing::Values(1u, 2u, 3u));
 
 TEST(TieredCache, TierCountOutsideOneToThreeIsRejected) {
   for (std::size_t tiers : {0u, 4u, 17u}) {
@@ -348,7 +350,8 @@ TEST(TieredCache, TierCountOutsideOneToThreeIsRejected) {
 
 TEST(TieredCache, PinnedBlocksAreNeverDemoted) {
   // A lease pins the GPU copy; pressure must route around it.
-  PrefixCache cache(CacheConfig{4, 4, true, 0, 2, 0, 0});
+  PrefixCache cache(
+      CacheConfig{.block_size = 4, .capacity_blocks = 4, .tiers = 2});
   tokenizer::TokenSeq prompt(16);
   std::iota(prompt.begin(), prompt.end(), 7u);
   auto lease = cache.lookup(prompt);

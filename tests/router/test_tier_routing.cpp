@@ -29,9 +29,12 @@ void warm(PrefixCache& c, const tokenizer::TokenSeq& p) {
 
 TEST(TierRouting, GpuHitOutranksHostHitOutranksMiss) {
   const auto prompt = iota_prompt(32, 100);
-  PrefixCache gpu_hot(CacheConfig{4, 8, true, 0, 2, 0, 0});
-  PrefixCache host_only(CacheConfig{4, 8, true, 0, 2, 0, 0});
-  PrefixCache cold(CacheConfig{4, 8, true, 0, 2, 0, 0});
+  PrefixCache gpu_hot(
+      CacheConfig{.block_size = 4, .capacity_blocks = 8, .tiers = 2});
+  PrefixCache host_only(
+      CacheConfig{.block_size = 4, .capacity_blocks = 8, .tiers = 2});
+  PrefixCache cold(
+      CacheConfig{.block_size = 4, .capacity_blocks = 8, .tiers = 2});
   warm(gpu_hot, prompt);
   warm(host_only, prompt);
   // Demote one replica's copy: same matched tokens, lower tier.

@@ -49,8 +49,10 @@ class MigrationExactlyOnce : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MigrationExactlyOnce, DonorRecipientLedgersReconcile) {
   const std::uint64_t seed = GetParam();
   util::Rng rng(seed * 7919 + 3);
-  PrefixCache donor(CacheConfig{4, 32, true, 0, 2, 0, 0});
-  PrefixCache recipient(CacheConfig{4, 32, true, 0, 2, 0, 0});
+  PrefixCache donor(
+      CacheConfig{.block_size = 4, .capacity_blocks = 32, .tiers = 2});
+  PrefixCache recipient(
+      CacheConfig{.block_size = 4, .capacity_blocks = 32, .tiers = 2});
 
   // Warm the donor with a shared-prefix-heavy stream.
   std::vector<tokenizer::TokenSeq> prompts;

@@ -298,23 +298,6 @@ TEST(ThreadedFleetProperty, BitIdenticalToVirtualClockAcrossMatrix) {
   EXPECT_GT(chunks_seen, 0u);
 }
 
-TEST(ThreadedFleetProperty, UnstripedCacheAlsoBitIdentical) {
-  // lock_stripes = 0 routes the threaded fleet through the original
-  // single-tree cache path; determinism must not depend on striping.
-  util::Rng rng(9);
-  const Table t = groupy_table(rng, 48, 3, 3);
-  const table::FdSet fds;
-  OnlineConfig cfg = small_config();
-  cfg.n_replicas = 4;
-  cfg.scheduler.window_rows = 8;
-  cfg.scheduler.max_wait_seconds = 0.1;
-  const auto arrivals = stream_over(48, 35.0, 77, 4);
-  ThreadedFleetOptions opt;
-  opt.cache_lock_stripes = 0;
-  expect_result_eq(run_online(t, fds, arrivals, cfg),
-                   run_online_threaded(t, fds, arrivals, cfg, opt));
-}
-
 TEST(ThreadedFleetProperty, TraceBytesIdenticalToReplicatedOracle) {
   util::Rng rng(5);
   const Table t = groupy_table(rng, 60, 3, 3);
