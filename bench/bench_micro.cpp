@@ -1,10 +1,11 @@
 // Hot-path microbenchmarks: the per-token inner loops the serving stack
 // spends its time in at fleet scale — token_ops kernels (LCP / equality /
 // block hash, SIMD vs scalar), RadixTree child lookup across fan-outs,
-// the end-to-end lookup→admit→release cache cycle, batch eviction, prompt
-// tokenization of every dataset's rows, and a steady-state allocation
-// audit that asserts the arena claim: once warm, cache churn performs
-// ZERO heap allocations and carves no new node slots.
+// the end-to-end lookup→admit→release cache cycle, batch eviction, the
+// evicting cache cycle at two arena sizes, prompt tokenization of every
+// dataset's rows, and a steady-state allocation audit that asserts the
+// arena claim: once warm, cache churn performs ZERO heap allocations and
+// carves no new node slots.
 //
 // Emits the standard BENCH_*.json envelope. Deterministic keys
 // (checksums, counts, token fingerprints, steady_allocs) are
@@ -349,6 +350,83 @@ void bench_evict_batch(const bench::BenchOptions& opt,
                            {"vs_build", vs_build}});
 }
 
+// ---- Section: evict_pressure (evict cost against arena size). ----
+
+/// A full flat cache cycling through twice as many fresh 4-block prompts
+/// as it holds: every lookup misses and every admit evicts the 4 blocks
+/// of the oldest prompt.
+class PressureLoop {
+ public:
+  static constexpr std::size_t kBlock = 16;
+  static constexpr std::size_t kBlocksPerPrompt = 4;
+
+  PressureLoop(std::size_t capacity_blocks, std::uint64_t seed)
+      : cache_(cache::CacheConfig{kBlock, capacity_blocks, true}) {
+    util::Rng rng(seed);
+    const std::size_t resident = capacity_blocks / kBlocksPerPrompt;
+    for (std::size_t i = 0; i < 2 * resident; ++i)
+      prompts_.push_back(random_tokens(rng, kBlock * kBlocksPerPrompt));
+    cycles(resident);  // fill: from here on every admit evicts
+  }
+
+  void cycles(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& p = prompts_[next_];
+      next_ = (next_ + 1) % prompts_.size();
+      auto lease = cache_.lookup(p);
+      cache_.admit(p, lease);
+      cache_.release(lease);
+    }
+  }
+
+  std::uint64_t evicted() const { return cache_.stats().evicted_blocks; }
+
+ private:
+  cache::PrefixCache cache_;
+  std::vector<std::vector<tokenizer::TokenId>> prompts_;
+  std::size_t next_ = 0;
+};
+
+void bench_evict_pressure(const bench::BenchOptions& opt,
+                          bench::JsonReport& json) {
+  constexpr std::size_t kSmall = 256, kLarge = 4096;
+  const auto n_cycles = std::max<std::size_t>(
+      256, static_cast<std::size_t>(4096.0 * opt.scale));
+  PressureLoop small(kSmall, opt.seed);
+  PressureLoop large(kLarge, opt.seed + 1);
+  // The exact count: n_cycles untimed cycles on each, 4 blocks apiece.
+  const std::uint64_t before = small.evicted() + large.evicted();
+  small.cycles(n_cycles);
+  large.cycles(n_cycles);
+  const auto evicted =
+      static_cast<std::size_t>(small.evicted() + large.evicted() - before);
+  if (evicted != 2 * n_cycles * PressureLoop::kBlocksPerPrompt)
+    fail("evict_pressure: an admit did not evict one prompt's blocks");
+
+  const auto [small_s, large_s] =
+      bench::WallClockTimer(5, 1).min_seconds_interleaved(
+          [] {}, [&] { small.cycles(n_cycles); },
+          [] {}, [&] { large.cycles(n_cycles); });
+  const double small_us = small_s / static_cast<double>(n_cycles) * 1e6;
+  const double large_us = large_s / static_cast<double>(n_cycles) * 1e6;
+  // The same cycle on a 16x larger arena: an evict call whose cost grew
+  // with the arena (a scan per call) moves this; a host speed change
+  // moves both timings.
+  const double vs_small = large_us / small_us;
+
+  std::printf("evict_pressure: %zu full-cache cycles evicting %zu blocks "
+              "each, %.3f us/cycle at %zu blocks, %.3f at %zu (%.2fx)\n\n",
+              n_cycles, PressureLoop::kBlocksPerPrompt, small_us, kSmall,
+              large_us, kLarge, vs_small);
+  json.add("evict_pressure", {{"cycles", n_cycles},
+                              {"small_blocks", kSmall},
+                              {"large_blocks", kLarge},
+                              {"evicted", evicted},
+                              {"small_us_per_cycle", small_us},
+                              {"large_us_per_cycle", large_us},
+                              {"vs_small", vs_small}});
+}
+
 // ---- Section: tokenize (prompt encoding of every dataset's rows). ----
 
 void bench_tokenize(const bench::BenchOptions& opt, bench::JsonReport& json) {
@@ -509,6 +587,7 @@ int main(int argc, char** argv) {
   bench_radix_fanout(opt, json);
   bench_radix_stream(opt, json);
   bench_evict_batch(opt, json);
+  bench_evict_pressure(opt, json);
   bench_tokenize(opt, json);
   bench_alloc_steadystate(opt, json);
 

@@ -224,7 +224,7 @@ bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
   const std::size_t lower = lower_host + lower_disk;
   if (lower == 0) return false;
   // The path is already pinned, which is what keeps make_gpu_room's
-  // demotion scan away from it.
+  // demotions away from it.
   make_gpu_room(lower);
   bool truncated = false;
   if (!pool_.unlimited() && pool_.free() < lower) {

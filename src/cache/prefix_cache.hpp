@@ -13,10 +13,13 @@
 // to the driver at the barrier (DESIGN.md §10); the TSan CI job checks
 // that rule.
 //
-// Cost: every eviction or demotion call scans the node arena once
-// (RadixTree::take_victims) and then pays a heap pop for each block
-// taken, and no steady-state operation allocates — tiered included
-// (bench_micro's alloc_steadystate asserts it).
+// Cost: eviction and demotion pay one heap pop per block taken
+// (RadixTree::take_victims pops the tier's victim heap, which the tree
+// keeps up to date as it changes), with no arena scan, so an evict call
+// costs the same on a small and a large cache (bench_micro's
+// evict_pressure gates that); pinned_blocks() is a counter. No
+// steady-state operation allocates — tiered included (bench_micro's
+// alloc_steadystate asserts it).
 
 #include <cstdint>
 #include <span>

@@ -104,8 +104,14 @@ NodeId RadixTree::add_child(NodeId node, std::span<const TokenId> block,
     std::fill(n.index.table.begin(), n.index.table.end(), kNoNode);
   n.last_access = now;
   n.ref_count = 0;
+  n.same_tier_children = 0;
+  n.heap_pos = kNotQueued;  // recycled slot: its old entry left with it
   n.tier = 0;  // new blocks are always born GPU-resident
   n.alive = true;
+  // A new node is an unpinned leaf: a victim of tier 0. Its parent stops
+  // being one if this is its first tier-0 child.
+  heap_push(id);
+  if (node != 0 && pool_[node].tier == 0) gain_same_tier_child(node);
 
   Node& p = pool_[node];
   n.pos_in_parent = static_cast<std::uint32_t>(p.children.size());
@@ -133,6 +139,9 @@ void RadixTree::remove_node(NodeId id) {
     throw std::logic_error("RadixTree: removing a pinned node");
   if (!n.children.empty())
     throw std::logic_error("RadixTree: removing a non-leaf node");
+  heap_erase(id);  // an unpinned leaf is always queued
+  if (n.parent != 0 && pool_[n.parent].tier == n.tier)
+    lose_same_tier_child(n.parent);
   Node& p = pool_[n.parent];
   // O(1) swap-remove: child order is unobservable (lookups go through the
   // hash index or an unordered scan), so move the last sibling into the
@@ -205,7 +214,7 @@ std::size_t RadixTree::insert_into(std::span<const TokenId> tokens,
       child = add_child(cur, block, now);
       ++new_blocks;
     } else {
-      pool_[child].last_access = now;
+      stamp(child, now);
     }
     path.push_back(child);
     offset += block_size_;
@@ -215,63 +224,136 @@ std::size_t RadixTree::insert_into(std::span<const TokenId> tokens,
 }
 
 void RadixTree::touch(std::span<const NodeId> path, std::uint64_t now) {
-  for (NodeId id : path) pool_[id].last_access = now;
+  for (NodeId id : path) stamp(id, now);
 }
 
 void RadixTree::pin(std::span<const NodeId> path) {
-  for (NodeId id : path) ++pool_[id].ref_count;
+  for (NodeId id : path) {
+    Node& n = pool_[id];
+    if (n.ref_count++ != 0) continue;
+    ++pinned_nodes_;
+    if (n.heap_pos != kNotQueued) heap_erase(id);
+  }
 }
 
 void RadixTree::unpin(std::span<const NodeId> path) {
   for (NodeId id : path) {
-    if (pool_[id].ref_count == 0)
+    Node& n = pool_[id];
+    if (n.ref_count == 0)
       throw std::logic_error("RadixTree: unpin of unpinned node");
-    --pool_[id].ref_count;
+    if (--n.ref_count != 0) continue;
+    --pinned_nodes_;
+    if (n.same_tier_children == 0) heap_push(id);
   }
 }
 
-bool RadixTree::is_victim(const Node& n, VictimKind kind,
-                          std::uint8_t tier) const {
-  if (!n.alive || n.ref_count != 0 || n.tier != tier) return false;
-  if (kind == VictimKind::Evict) return n.children.empty();
-  for (NodeId c : n.children)
-    if (pool_[c].tier == tier) return false;
-  return true;
+void RadixTree::stamp(NodeId id, std::uint64_t now) {
+  Node& n = pool_[id];
+  n.last_access = now;
+  if (n.heap_pos == kNotQueued) return;
+  auto& heap = heaps_[n.tier];
+  heap[n.heap_pos].last_access = now;
+  heap_fix(heap, n.heap_pos);
+}
+
+void RadixTree::gain_same_tier_child(NodeId id) {
+  Node& n = pool_[id];
+  if (n.same_tier_children++ == 0 && n.heap_pos != kNotQueued) heap_erase(id);
+}
+
+void RadixTree::lose_same_tier_child(NodeId id) {
+  Node& n = pool_[id];
+  if (--n.same_tier_children == 0 && n.ref_count == 0) heap_push(id);
+}
+
+void RadixTree::demote(NodeId id) {
+  // A victim of tier t leaves heap t, which may leave its parent (at tier
+  // t or above, never below) with no child at t. At t + 1 it counts its
+  // children afresh; its parent sits above t + 1, so gains none.
+  Node& n = pool_[id];
+  heap_erase(id);
+  if (n.parent != 0 && pool_[n.parent].tier == n.tier)
+    lose_same_tier_child(n.parent);
+  ++n.tier;
+  n.same_tier_children = 0;
+  for (NodeId c : n.children) n.same_tier_children += pool_[c].tier == n.tier;
+  if (n.same_tier_children == 0) heap_push(id);
 }
 
 std::size_t RadixTree::take_victims(VictimKind kind, std::uint8_t tier,
                                     std::size_t n) {
-  if (n == 0) return 0;
-  // std::greater pops the oldest, lowest-id first.
-  const auto cmp = std::greater<>{};
-  victim_heap_.clear();
-  for (NodeId id = 1; id < pool_.slots(); ++id) {
-    const Node& node = pool_[id];
-    if (is_victim(node, kind, tier))
-      victim_heap_.emplace_back(node.last_access, id);
-  }
-  std::make_heap(victim_heap_.begin(), victim_heap_.end(), cmp);
+  if (tier >= kTiers ||
+      (kind == VictimKind::Demote && std::size_t{tier} + 1 >= kTiers))
+    throw std::invalid_argument("RadixTree: no victim tier " +
+                                std::to_string(tier) + " for this kind");
+  const std::vector<HeapEntry>& heap = heaps_[tier];
   std::size_t taken = 0;
-  for (; taken < n && !victim_heap_.empty(); ++taken) {
-    // Taking a victim only changes the victim status of its parent: an
-    // evicted leaf may leave the parent a leaf, and a demoted node's
-    // children already sit below its old tier, so only the parent can
-    // lose its last same-tier child. The parent was not a victim before
-    // (the victim was its child in the tier), so it is never pushed twice.
-    std::pop_heap(victim_heap_.begin(), victim_heap_.end(), cmp);
-    const NodeId victim = victim_heap_.back().second;
-    victim_heap_.pop_back();
-    const NodeId parent = pool_[victim].parent;
+  for (; taken < n && !heap.empty(); ++taken) {
+    const NodeId victim = heap.front().id;
     if (kind == VictimKind::Evict)
       remove_node(victim);
     else
-      ++pool_[victim].tier;
-    if (parent != 0 && is_victim(pool_[parent], kind, tier)) {
-      victim_heap_.emplace_back(pool_[parent].last_access, parent);
-      std::push_heap(victim_heap_.begin(), victim_heap_.end(), cmp);
-    }
+      demote(victim);
   }
   return taken;
+}
+
+// ---- Victim heaps. ----
+
+void RadixTree::heap_push(NodeId id) {
+  auto& heap = heaps_[pool_[id].tier];
+  heap.push_back({pool_[id].last_access, id});
+  sift_up(heap, heap.size() - 1);
+}
+
+void RadixTree::heap_erase(NodeId id) {
+  Node& n = pool_[id];
+  auto& heap = heaps_[n.tier];
+  const std::size_t i = n.heap_pos;
+  n.heap_pos = kNotQueued;
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (i == heap.size()) return;
+  heap[i] = last;  // refill the hole with the old last entry
+  heap_fix(heap, i);
+}
+
+void RadixTree::heap_fix(std::vector<HeapEntry>& heap, std::size_t i) {
+  // A changed entry breaks the order in at most one direction; a
+  // re-stamp (stamps come from a clock) sifts down.
+  if (i > 0 && older(heap[i], heap[(i - 1) / 2]))
+    sift_up(heap, i);
+  else
+    sift_down(heap, i);
+}
+
+void RadixTree::sift_up(std::vector<HeapEntry>& heap, std::size_t i) {
+  const HeapEntry e = heap[i];
+  while (i > 0) {
+    const std::size_t up = (i - 1) / 2;
+    if (!older(e, heap[up])) break;
+    heap[i] = heap[up];
+    pool_[heap[i].id].heap_pos = static_cast<std::uint32_t>(i);
+    i = up;
+  }
+  heap[i] = e;
+  pool_[e.id].heap_pos = static_cast<std::uint32_t>(i);
+}
+
+void RadixTree::sift_down(std::vector<HeapEntry>& heap, std::size_t i) {
+  const HeapEntry e = heap[i];
+  const std::size_t size = heap.size();
+  for (;;) {
+    std::size_t down = 2 * i + 1;
+    if (down >= size) break;
+    if (down + 1 < size && older(heap[down + 1], heap[down])) ++down;
+    if (!older(heap[down], e)) break;
+    heap[i] = heap[down];
+    pool_[heap[i].id].heap_pos = static_cast<std::uint32_t>(i);
+    i = down;
+  }
+  heap[i] = e;
+  pool_[e.id].heap_pos = static_cast<std::uint32_t>(i);
 }
 
 std::size_t RadixTree::evict_lru(std::size_t want) {
@@ -285,10 +367,13 @@ std::string RadixTree::check_invariants() const {
   if (pool_.slots() == 0 || !pool_[0].alive || pool_[0].parent != kNoNode)
     return "root: missing, dead, or parented";
 
-  std::size_t alive = 0;
+  std::size_t alive = 0, pinned = 0;
   for (NodeId id = 0; id < pool_.slots(); ++id) {
     const Node& n = pool_[id];
-    if (!n.alive) continue;
+    if (!n.alive) {
+      if (n.heap_pos != kNotQueued) return fail(id, "dead slot still queued");
+      continue;
+    }
     if (id != 0) {
       ++alive;
       const auto blk = block_span(id);
@@ -319,6 +404,28 @@ std::string RadixTree::check_invariants() const {
       // lower tier would mean a lease points at data that is not there.
       if (n.ref_count > 0 && n.tier != 0)
         return fail(id, "pinned but not GPU-resident");
+      // Victim heaps: the count re-derived from the children, and the
+      // node queued, under its current stamp, iff it is a victim.
+      std::uint32_t same_tier = 0;
+      for (NodeId c : n.children)
+        if (c < pool_.slots()) same_tier += pool_[c].tier == n.tier;
+      if (same_tier != n.same_tier_children)
+        return fail(id, "same_tier_children out of sync with its children");
+      const bool victim = n.ref_count == 0 && same_tier == 0;
+      if (victim != (n.heap_pos != kNotQueued))
+        return fail(id, victim ? "victim missing from its tier's heap"
+                               : "non-victim queued in a heap");
+      if (victim) {
+        if (n.tier >= kTiers) return fail(id, "victim past the last tier");
+        const auto& heap = heaps_[n.tier];
+        if (n.heap_pos >= heap.size() || heap[n.heap_pos].id != id)
+          return fail(id, "heap_pos does not point back at the node");
+        if (heap[n.heap_pos].last_access != n.last_access)
+          return fail(id, "heap key differs from last_access");
+      }
+      pinned += n.ref_count > 0;
+    } else if (n.heap_pos != kNotQueued) {
+      return fail(id, "root queued as a victim");
     }
     for (NodeId c : n.children) {
       if (c >= pool_.slots() || !pool_[c].alive || pool_[c].parent != id)
@@ -341,6 +448,26 @@ std::string RadixTree::check_invariants() const {
     }
   }
   if (alive != num_blocks_) return "num_blocks out of sync with alive nodes";
+  if (pinned != pinned_nodes_)
+    return "pinned node count out of sync with a walk";
+  const auto heap_fail = [](std::size_t t, std::size_t i, const char* what) {
+    return "heap " + std::to_string(t) + " entry " + std::to_string(i) +
+           ": " + what;
+  };
+  for (std::size_t t = 0; t < kTiers; ++t) {
+    const auto& heap = heaps_[t];
+    for (std::size_t i = 0; i < heap.size(); ++i) {
+      const NodeId id = heap[i].id;
+      // Each entry's node points back at its slot, so no node is queued
+      // twice.
+      if (id == 0 || id >= pool_.slots() || !pool_[id].alive)
+        return heap_fail(t, i, "dead, root or out-of-range node");
+      if (pool_[id].tier != t || pool_[id].heap_pos != i)
+        return heap_fail(t, i, "node is at another tier or heap slot");
+      if (i > 0 && older(heap[i], heap[(i - 1) / 2]))
+        return heap_fail(t, i, "older than its heap parent");
+    }
+  }
   if (pool_.in_use() != alive + 1)  // +1: the root occupies a slot
     return "arena in_use out of sync with alive nodes";
   return std::string();
@@ -350,13 +477,6 @@ std::uint64_t RadixTree::total_ref_count() const {
   std::uint64_t n = 0;
   for (NodeId id = 1; id < pool_.slots(); ++id)
     if (pool_[id].alive) n += pool_[id].ref_count;
-  return n;
-}
-
-std::size_t RadixTree::pinned_blocks() const {
-  std::size_t n = 0;
-  for (NodeId id = 1; id < pool_.slots(); ++id)
-    if (pool_[id].alive && pool_[id].ref_count > 0) ++n;
   return n;
 }
 
@@ -397,7 +517,19 @@ void RadixTree::count_tiered(std::span<const NodeId> path, std::size_t& host,
 }
 
 void RadixTree::promote_path(std::span<const NodeId> path) {
-  for (NodeId id : path) pool_[id].tier = 0;
+  // Root-down, a node's parent is at tier 0 by the time the node moves,
+  // and its children still sit at its old tier or below: it restarts with
+  // no tier-0 child, and the path's next node (its child) adds one back.
+  for (NodeId id : path) {
+    Node& n = pool_[id];
+    if (n.tier == 0) continue;
+    if (n.heap_pos != kNotQueued) heap_erase(id);
+    n.tier = 0;
+    n.same_tier_children = 0;
+    if (n.parent != 0 && pool_[n.parent].tier == 0)
+      gain_same_tier_child(n.parent);
+    if (n.ref_count == 0) heap_push(id);
+  }
 }
 
 void RadixTree::hottest_leaves(std::size_t max_leaves,

@@ -16,12 +16,17 @@
 // whose fan-out reaches kIndexMinFanout carry an open-addressed child
 // table that turns find_child into O(1) probes.
 //
-// Victims: eviction and demotion share one entry point. take_victims()
-// scans the arena once and heaps the current victims of one tier by
-// (last_access, id), then pops the oldest, evicts or demotes it, and
-// pushes its parent if that made the parent a victim. Nothing else
-// changes the victim set between pops, so taking k victims in one call is
-// exactly k rounds of "rescan, take the oldest" for one scan.
+// Victims: eviction and demotion share one entry point, take_victims().
+// A node is a victim of its tier iff it is unpinned and has no child at
+// its own tier; every node keeps that child count, and each tier keeps
+// its victims in an indexed binary min-heap keyed by (last_access, id).
+// Only add_child, remove_node, the re-stamps of touch and insert_into,
+// the pin/unpin 0<->1 transitions, demotion and promote_path change the
+// victim set or a victim's key, and each updates the heaps in place, so
+// a heap always holds exactly the victims a fresh arena scan would find
+// and take_victims() only pops. On a root-down path only the deepest
+// node of each tier run can be a victim, so touching, pinning or
+// unpinning a path moves O(1) heap entries, not one per block.
 //
 // Tiers (DESIGN.md §13): each node carries a tier tag — 0 = GPU, 1 =
 // host DRAM, 2 = disk. A flat cache leaves every node at tier 0 and the
@@ -37,11 +42,11 @@
 // promotion-before-pin gives "pinned => GPU-resident" as a walked
 // invariant.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tokenizer/tokenizer.hpp"
@@ -109,19 +114,24 @@ class RadixTree {
   enum class VictimKind : std::uint8_t { Evict, Demote };
 
   /// Evict or demote up to `n` `kind` victims at `tier`, oldest
-  /// (last_access, id) first. One arena scan heaps the current victims;
-  /// each take pushes the victim's parent if that made the parent a
-  /// victim, so the heap always holds exactly the victims a fresh scan
-  /// would. Returns the number taken (fewer when the tier runs out of
-  /// victims: everything left is pinned or has children in the tier).
+  /// (last_access, id) first, by popping the tier's victim heap: the
+  /// heap already holds exactly the tier's current victims, and each take
+  /// updates it (the victim's parent may become one), so one call taking
+  /// k victims takes what k calls taking one would. Evict is for the
+  /// bottom tier, where a victim is a leaf; an Evict that pops a node
+  /// with children throws std::logic_error. Returns the number taken
+  /// (fewer when the tier runs out of victims: everything left is pinned
+  /// or has children in the tier). Throws std::invalid_argument for a
+  /// tier past disk, or a Demote from disk.
   std::size_t take_victims(VictimKind kind, std::uint8_t tier, std::size_t n);
 
   /// Evict up to `want` least-recently-used, unpinned tier-0 leaves
   /// (take_victims(Evict, 0, want)). Returns the number actually evicted.
   std::size_t evict_lru(std::size_t want);
 
-  /// Total pinned nodes (diagnostics / tests).
-  std::size_t pinned_blocks() const;
+  /// Total pinned nodes (gauge sampling), counted at the 0<->1 pin
+  /// transitions rather than walked.
+  std::size_t pinned_blocks() const { return pinned_nodes_; }
 
   /// Sum of ref_count over all alive nodes — the number of (lease, node)
   /// pin edges outstanding. PrefixCache cross-checks this against its own
@@ -152,8 +162,10 @@ class RadixTree {
                     std::size_t& disk) const;
 
   /// Set every node of `path` to tier 0. `path` must be a root-down path
-  /// prefix so tier monotonicity survives. The caller owns the GPU-pool
-  /// accounting for the blocks that moved.
+  /// prefix so tier monotonicity survives (and so each node's parent is
+  /// already at tier 0 when the node moves, which the same-tier child
+  /// counts rely on). The caller owns the GPU-pool accounting for the
+  /// blocks that moved.
   void promote_path(std::span<const NodeId> path);
 
   // ---- Migration support (donor-side hot-prefix extraction). ----
@@ -182,11 +194,20 @@ class RadixTree {
   /// accounting, and the path-prefix monotonicity invariants — a node's
   /// parent is always at least as recently used and at least as pinned as
   /// the node, because touches and pins only ever cover root-down path
-  /// prefixes. Returns an empty string when every invariant holds, else a
-  /// description of the first violation.
+  /// prefixes — plus the victim heaps: every node's same-tier child count
+  /// re-derived from its children, a node queued iff it is a victim of its
+  /// tier (unpinned, no child at its tier) under its current last_access,
+  /// every heap in order with no dead or duplicate entry, and the pinned
+  /// node count equal to a walk. Returns an empty string when every
+  /// invariant holds, else a description of the first violation.
   std::string check_invariants() const;
 
  private:
+  // Node::heap_pos of a node in no heap (not a victim, dead, or the root).
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+  // Tiers the heaps cover: GPU, host, disk.
+  static constexpr std::size_t kTiers = 3;
+
   /// Open-addressed child table: power-of-2 capacity, linear probing,
   /// backward-shift deletion. An empty `table` means the node is below
   /// the fan-out threshold and children are scanned linearly (with the
@@ -205,8 +226,17 @@ class RadixTree {
     NodeId parent = kNoNode;
     std::uint32_t pos_in_parent = 0;  // index in parent's children vector
     std::uint32_t ref_count = 0;
+    std::uint32_t same_tier_children = 0;  // children at this node's tier
+    std::uint32_t heap_pos = kNotQueued;   // slot in heaps_[tier]
     std::uint8_t tier = 0;            // 0 = GPU, 1 = host, 2 = disk
     bool alive = false;
+  };
+
+  /// A victim-heap entry: the node's last_access, copied so sifting
+  /// compares without a pool lookup per key.
+  struct HeapEntry {
+    std::uint64_t last_access;
+    NodeId id;
   };
 
   // Fan-out at which a node gains a child hash table.
@@ -221,13 +251,30 @@ class RadixTree {
     return {base, block_size_};
   }
 
-  /// Whether `n` is a `kind` victim at `tier` (see VictimKind).
-  bool is_victim(const Node& n, VictimKind kind, std::uint8_t tier) const;
-
   NodeId find_child(NodeId node, std::span<const TokenId> block) const;
   NodeId add_child(NodeId node, std::span<const TokenId> block,
                    std::uint64_t now);
   void remove_node(NodeId id);
+  /// Move a victim of tier t (t < kTiers - 1) to tier t + 1.
+  void demote(NodeId id);
+  /// Set a node's last_access, re-keying it if it is queued.
+  void stamp(NodeId id, std::uint64_t now);
+  /// `id` (not the root) gained / lost a child at its own tier.
+  void gain_same_tier_child(NodeId id);
+  void lose_same_tier_child(NodeId id);
+
+  // Indexed min-heap on (last_access, id); each move rewrites the moved
+  // node's heap_pos.
+  static bool older(const HeapEntry& a, const HeapEntry& b) {
+    return a.last_access != b.last_access ? a.last_access < b.last_access
+                                          : a.id < b.id;
+  }
+  void heap_push(NodeId id);
+  void heap_erase(NodeId id);
+  /// Restore the order around slot `i` after its entry changed.
+  void heap_fix(std::vector<HeapEntry>& heap, std::size_t i);
+  void sift_up(std::vector<HeapEntry>& heap, std::size_t i);
+  void sift_down(std::vector<HeapEntry>& heap, std::size_t i);
 
   void index_insert(ChildIndex& ix, NodeId id);
   void index_erase(ChildIndex& ix, NodeId id);
@@ -237,8 +284,9 @@ class RadixTree {
   util::SlotPool<Node> pool_;    // slot 0 is the root
   std::vector<std::unique_ptr<TokenId[]>> block_slabs_;
   std::size_t num_blocks_ = 0;
-  // Victim heap: (last_access, id) min-heap, capacity reused.
-  std::vector<std::pair<std::uint64_t, NodeId>> victim_heap_;
+  std::size_t pinned_nodes_ = 0;  // alive nodes with ref_count > 0
+  // heaps_[t] holds exactly tier t's victims; capacity is reused.
+  std::array<std::vector<HeapEntry>, kTiers> heaps_;
 };
 
 }  // namespace llmq::cache

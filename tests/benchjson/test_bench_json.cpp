@@ -183,6 +183,14 @@ const std::vector<BenchSpec>& bench_specs() {
           {"us_per_block", kNum},
           {"build_us_per_block", kNum},
           {"vs_build", kNum}}},
+        {"evict_pressure",
+         {{"cycles", kNum},
+          {"small_blocks", kNum},
+          {"large_blocks", kNum},
+          {"evicted", kNum},
+          {"small_us_per_cycle", kNum},
+          {"large_us_per_cycle", kNum},
+          {"vs_small", kNum}}},
         {"tokenize",
          {{"dataset", kStr},
           {"rows", kNum},
