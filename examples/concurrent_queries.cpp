@@ -17,10 +17,12 @@
 
 #include "query/executor.hpp"
 #include "serve/query_client.hpp"
+#include "cli.hpp"
 
 using namespace llmq;
 
-int main() {
+int main(int argc, char** argv) {
+  examples::Cli(argc, argv, "").max_args(0);
   // -- 1. Data + query mix. ---------------------------------------------
   data::GenOptions g;
   g.n_rows = 300;

@@ -3,13 +3,12 @@
 // pricing (paper §6.3).
 //
 // Usage:
-//   ./build/examples/cost_explorer [table.csv] [avg_output_tokens]
+//   ./build/example_cost_explorer [table.csv [avg_output_tokens]]
 //
 // Without arguments a demo table is generated. With a CSV path, the file's
 // rows are priced as one-LLM-call-per-row requests.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/baselines.hpp"
 #include "core/ggr.hpp"
@@ -18,6 +17,7 @@
 #include "table/csv.hpp"
 #include "table/fd.hpp"
 #include "util/wordbank.hpp"
+#include "cli.hpp"
 
 using namespace llmq;
 
@@ -57,9 +57,11 @@ std::vector<pricing::PricedRequest> to_stream(const table::Table& t,
 }  // namespace
 
 int main(int argc, char** argv) {
-  table::Table t = argc > 1 ? table::read_csv_file(argv[1]) : demo_table();
-  const auto out_tokens = static_cast<std::uint64_t>(
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 20);
+  const examples::Cli cli(argc, argv, "[table.csv [avg_output_tokens]]");
+  cli.max_args(2);
+  const std::uint64_t out_tokens =
+      argc > 2 ? cli.count("avg_output_tokens", argv[2]) : 20;
+  const table::Table t = argc > 1 ? cli.read_table(argv[1]) : demo_table();
   std::printf("table: %zu rows x %zu fields; %llu output tokens/request\n\n",
               t.num_rows(), t.num_cols(),
               static_cast<unsigned long long>(out_tokens));

@@ -9,16 +9,16 @@
 // macros repeat across tickets (the realistic sharing structure), run the
 // LLM filter under the three method arms, and show the per-arm cost.
 //
-// Build & run:  ./build/examples/customer_tickets [n_tickets]
+// Build & run:  ./build/example_customer_tickets [n_tickets]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/schedule.hpp"
 #include "llm/engine.hpp"
 #include "query/llm_operator.hpp"
 #include "table/stats.hpp"
 #include "util/wordbank.hpp"
+#include "cli.hpp"
 
 using namespace llmq;
 
@@ -46,7 +46,9 @@ table::Table make_tickets(std::size_t n, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1500;
+  const examples::Cli cli(argc, argv, "[n_tickets]");
+  cli.max_args(1);
+  const std::size_t n = argc > 1 ? cli.count("n_tickets", argv[1]) : 1500;
   const auto tickets = make_tickets(n, 2024);
 
   // The planner discovers there are no useful FDs here; run it anyway to

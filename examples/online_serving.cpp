@@ -19,13 +19,18 @@
 #include "data/generators.hpp"
 #include "obs/export.hpp"
 #include "serve/online.hpp"
+#include "cli.hpp"
 
 using namespace llmq;
 
 int main(int argc, char** argv) {
+  const examples::Cli cli(argc, argv, "[--trace path]");
   std::string trace_path;
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], "--trace") == 0) trace_path = argv[i + 1];
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--trace") != 0)
+      cli.usage_error("unknown flag", argv[i]);
+    trace_path = cli.value(i);
+  }
   // -- 1. Data: 400 rows of the Movies benchmark table. -----------------
   data::GenOptions g;
   g.n_rows = 400;
@@ -75,10 +80,12 @@ int main(int argc, char** argv) {
                 r.latency.p99_ttft, r.latency.mean_queue_delay,
                 r.latency.goodput_rps, r.windows, 1e3 * r.solve_seconds);
   }
-  if (!trace_path.empty() &&
-      obs::write_perfetto_trace(trace_path, trace_log, &timeseries))
+  if (!trace_path.empty()) {
+    if (!obs::write_perfetto_trace(trace_path, trace_log, &timeseries))
+      cli.file_error("could not write " + trace_path);
     std::printf("\n[%zu trace events -> %s; open at ui.perfetto.dev]\n",
                 trace_log.size(), trace_path.c_str());
+  }
   std::printf(
       "\nSame trace, same engine: the windowed-GGR scheduler turns buffer "
       "slack\ninto prefix-cache hits — the paper's batch-mode win, online.\n");

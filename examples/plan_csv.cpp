@@ -7,9 +7,9 @@
 // schedule can be fed to any serving stack.
 //
 // Usage:
-//   ./build/examples/plan_csv <in.csv> [--out reordered.csv]
-//                             [--policy ggr|original|stats-fixed|sorted-fixed]
-//                             [--window N] [--fd-tolerance f]
+//   ./build/example_plan_csv <in.csv> [--out reordered.csv]
+//                            [--policy ggr|original|stats-fixed|sorted-fixed]
+//                            [--window N] [--fd-tolerance f]
 
 #include <cstdio>
 #include <cstring>
@@ -20,6 +20,7 @@
 #include "table/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table_printer.hpp"
+#include "cli.hpp"
 
 using namespace llmq;
 
@@ -40,33 +41,33 @@ core::Ordering plan_with(const table::Table& t, const table::FdSet& fds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <in.csv> [--out f.csv] [--policy p] "
-                 "[--window N] [--fd-tolerance f]\n",
-                 argv[0]);
-    return 2;
-  }
+  const examples::Cli cli(
+      argc, argv,
+      "<in.csv> [--out f.csv] [--policy ggr|original|stats-fixed|sorted-fixed]"
+      " [--window N] [--fd-tolerance f]");
+  if (argc < 2 || argv[1][0] == '-')
+    cli.usage_error("expected an input CSV, got", argc < 2 ? "" : argv[1]);
   std::string out_path;
   std::string policy_name = "ggr";
   std::size_t window = 0;
   double fd_tolerance = 0.0;
   for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--out") && i + 1 < argc) out_path = argv[++i];
-    else if (!std::strcmp(argv[i], "--policy") && i + 1 < argc)
-      policy_name = argv[++i];
-    else if (!std::strcmp(argv[i], "--window") && i + 1 < argc)
-      window = std::strtoul(argv[++i], nullptr, 10);
-    else if (!std::strcmp(argv[i], "--fd-tolerance") && i + 1 < argc)
-      fd_tolerance = std::atof(argv[++i]);
+    const char* flag = argv[i];
+    if (!std::strcmp(flag, "--out"))
+      out_path = cli.value(i);
+    else if (!std::strcmp(flag, "--policy"))
+      policy_name = cli.value(i);
+    else if (!std::strcmp(flag, "--window"))
+      window = cli.count(flag, cli.value(i));
+    else if (!std::strcmp(flag, "--fd-tolerance"))
+      fd_tolerance = cli.fraction(flag, cli.value(i));
+    else
+      cli.usage_error("unknown flag", flag);
   }
   const auto policy = core::policy_from_string(policy_name);
-  if (!policy) {
-    std::fprintf(stderr, "unknown policy '%s'\n", policy_name.c_str());
-    return 2;
-  }
+  if (!policy) cli.usage_error("unknown policy", policy_name.c_str());
 
-  const table::Table t = table::read_csv_file(argv[1]);
+  const table::Table t = cli.read_table(argv[1]);
   std::printf("table: %zu rows x %zu fields\n", t.num_rows(), t.num_cols());
 
   // Column statistics (what the planner sees).
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
       row.push_back(util::join(order_names, ";"));
       out.append_row(std::move(row));
     }
-    table::write_csv_file(out, out_path);
+    cli.write_table(out, out_path);
     std::printf("\nwrote %s (%zu rows, policy %s%s)\n", out_path.c_str(),
                 out.num_rows(), policy_name.c_str(),
                 window ? (", window " + std::to_string(window)).c_str() : "");

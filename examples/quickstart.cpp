@@ -7,7 +7,7 @@
 //  4. Serve both schedules through the simulated LLM engine and compare
 //     job completion times.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/example_quickstart
 
 #include <cstdio>
 
@@ -18,10 +18,12 @@
 #include "query/llm_operator.hpp"
 #include "query/prompt.hpp"
 #include "table/table.hpp"
+#include "cli.hpp"
 
 using namespace llmq;
 
-int main() {
+int main(int argc, char** argv) {
+  examples::Cli(argc, argv, "").max_args(0);
   // -- 1. A table of product reviews, metadata repeated per product. ----
   table::Table t(table::Schema::of_names(
       {"review", "rating", "product", "description"}));

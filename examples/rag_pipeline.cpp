@@ -9,7 +9,7 @@
 // and show how GGR rearranges questions *and* context fields so claims
 // sharing evidence run back-to-back with the shared contexts fronted.
 //
-// Build & run:  ./build/examples/rag_pipeline
+// Build & run:  ./build/example_rag_pipeline
 
 #include <cstdio>
 
@@ -18,10 +18,12 @@
 #include "core/phc.hpp"
 #include "rag/context_builder.hpp"
 #include "util/wordbank.hpp"
+#include "cli.hpp"
 
 using namespace llmq;
 
-int main() {
+int main(int argc, char** argv) {
+  examples::Cli(argc, argv, "").max_args(0);
   util::Rng rng(99);
   const auto& bank = util::default_wordbank();
 

@@ -15,10 +15,12 @@
 #include "data/benchmark_suite.hpp"
 #include "data/generators.hpp"
 #include "serve/online.hpp"
+#include "cli.hpp"
 
 using namespace llmq;
 
-int main() {
+int main(int argc, char** argv) {
+  examples::Cli(argc, argv, "").max_args(0);
   // -- 1. Data: 400 rows of the Movies benchmark table. -----------------
   data::GenOptions g;
   g.n_rows = 400;

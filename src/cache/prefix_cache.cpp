@@ -219,24 +219,27 @@ bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
                                       std::uint8_t cls) {
   host = 0;
   disk = 0;
-  std::size_t lower_host = 0, lower_disk = 0;
-  tree_.count_tiered(path, lower_host, lower_disk);
-  const std::size_t lower = lower_host + lower_disk;
+  tree_.count_tiered(path, host, disk);
+  const std::size_t lower = host + disk;
   if (lower == 0) return false;
   // The path is already pinned, which is what keeps make_gpu_room's
-  // demotions away from it.
+  // demotions and evictions away from it: no node on it changes tier
+  // here, so the counts above stay exact for the untruncated path.
   make_gpu_room(lower);
   bool truncated = false;
   if (!pool_.unlimited() && pool_.free() < lower) {
     // Pin-saturated GPU pool: keep the longest prefix whose lower-tier
     // blocks fit, unpin and drop the tail — the request recomputes those
-    // tokens instead of reading them back.
+    // tokens instead of reading them back. Recount over the kept prefix.
     const std::size_t free = pool_.free();
-    std::size_t keep = 0, used = 0;
+    host = 0;
+    disk = 0;
+    std::size_t keep = 0;
     for (NodeId id : path) {
-      const bool lower_node = tree_.node_tier(id) != 0;
-      if (lower_node && used == free) break;
-      used += lower_node;
+      const std::uint8_t tier = tree_.node_tier(id);
+      if (tier != 0 && host + disk == free) break;
+      host += (tier == 1);
+      disk += (tier == 2);
       ++keep;
     }
     tree_.unpin(std::span<const NodeId>(path.data() + keep,
@@ -245,7 +248,6 @@ bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
     path.resize(keep);
     truncated = true;
   }
-  tree_.count_tiered(path, host, disk);
   if (host + disk > 0) {
     tree_.promote_path(path);
     pool_.allocate(host + disk);

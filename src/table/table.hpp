@@ -30,15 +30,9 @@ class Table {
   const std::string& cell(std::size_t row, std::size_t col) const {
     return columns_[col][row];
   }
-  std::string& cell_mut(std::size_t row, std::size_t col) {
-    return columns_[col][row];
-  }
 
   const std::vector<std::string>& column(std::size_t col) const {
     return columns_.at(col);
-  }
-  const std::vector<std::string>& column(std::string_view name) const {
-    return columns_.at(schema_.require(name));
   }
 
   /// Materialize row `r` in schema order.

@@ -10,7 +10,8 @@
 //
 // The bench binary directory is compiled in (LLMQ_BIN_DIR, set by
 // CMakeLists.txt to the build root); when the binaries are absent (e.g.
-// a -DLLMQ_BUILD_BENCHES=OFF build) the tests skip rather than fail.
+// a -DLLMQ_BUILD_BENCHES=OFF build) the tests skip rather than fail. The
+// same goes for the example binaries that ExampleCli runs.
 
 #include <gtest/gtest.h>
 
@@ -412,6 +413,66 @@ TEST(BenchCli, BadFlagsExitWithUsageError) {
     EXPECT_EQ(run.status, 1) << bench << " " << args;
     EXPECT_NE(run.err.find("could not write"), std::string::npos) << args;
   }
+}
+
+// The examples keep the same contract: a bad flag or value, including a
+// non-positive or non-numeric count, exits 2 with the usage line, and a
+// file that cannot be read or written exits 1 with an error line. Every
+// example target CMake builds (LLMQ_EXAMPLES) also runs its defaults to
+// exit 0 with an empty stderr, so an example that throws fails here.
+TEST(ExampleCli, FailLoudlyAndRunDefaults) {
+  std::vector<std::string> examples;
+  std::istringstream list(LLMQ_EXAMPLES);
+  for (std::string name; std::getline(list, name, ',');)
+    examples.push_back(name);
+  if (examples.empty()) GTEST_SKIP() << "examples not built";
+  const std::string dir = ::testing::TempDir();
+  const std::string csv = dir + "llmq_example_cli.csv";
+  const std::string no_rows = dir + "llmq_example_cli_empty.csv";
+  const std::string out = dir + "llmq_example_cli_out.csv";
+  std::ofstream(csv) << "id,city,plan\n1,berlin,a\n2,berlin,a\n3,munich,b\n";
+  std::ofstream(no_rows) << "id,city,plan\n";
+  std::remove(out.c_str());
+  struct Case {
+    std::string example;
+    std::string args;
+    int status;
+  };
+  std::vector<Case> cases{
+      {"example_plan_csv", "", 2},
+      {"example_plan_csv", "--window 2", 2},
+      {"example_plan_csv", csv + " --windw 2", 2},
+      {"example_plan_csv", csv + " --window abc", 2},
+      {"example_plan_csv", csv + " --window 0", 2},
+      {"example_plan_csv", csv + " --fd-tolerance x", 2},
+      {"example_plan_csv", csv + " --policy bogus", 2},
+      {"example_plan_csv", csv + " --out", 2},
+      {"example_cost_explorer", csv + " abc", 2},
+      {"example_cost_explorer", csv + " 0", 2},
+      {"example_customer_tickets", "abc", 2},
+      {"example_customer_tickets", "0", 2},
+      {"example_online_serving", "--trcae t.json", 2},
+      {"example_quickstart", "--scale 0.1", 2},
+      {"example_plan_csv", "/nonexistent/dir/in.csv", 1},
+      {"example_plan_csv", no_rows, 1},
+      {"example_plan_csv", csv + " --out /nonexistent/dir/o.csv", 1},
+      {"example_cost_explorer", "/nonexistent/dir/in.csv", 1},
+      {"example_online_serving", "--trace /nonexistent/dir/t.json", 1},
+      // Well-formed invocations still run.
+      {"example_plan_csv",
+       csv + " --policy ggr --window 2 --fd-tolerance 0.1 --out " + out, 0},
+      {"example_cost_explorer", csv + " 5", 0},
+  };
+  for (const std::string& example : examples)  // plan_csv needs an input
+    cases.push_back({example, example == "example_plan_csv" ? csv : "", 0});
+  for (const auto& [example, args, status] : cases) {
+    const CliRun run = run_cli(example, args);
+    EXPECT_EQ(run.status, status) << example << " " << args << "\n" << run.err;
+    EXPECT_EQ(run.err.find("usage:") != std::string::npos, status == 2)
+        << example << " " << args << "\n" << run.err;
+    EXPECT_EQ(run.err.empty(), status == 0) << example << " " << args;
+  }
+  EXPECT_TRUE(file_exists(out));
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ TEST(Table, AppendAndAccess) {
   EXPECT_EQ(t.num_rows(), 3u);
   EXPECT_EQ(t.num_cols(), 3u);
   EXPECT_EQ(t.cell(1, 1), "bob");
-  EXPECT_EQ(t.column("city")[2], "munich");
+  EXPECT_EQ(t.column(2)[2], "munich");
 }
 
 TEST(Table, AppendRowArityMismatchThrows) {
