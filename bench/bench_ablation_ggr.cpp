@@ -32,10 +32,7 @@ int main(int argc, char** argv) {
     util::TablePrinter tp({"dataset", "original", "sorted rows",
                            "stats-fixed", "GGR no-FD", "GGR + FD"});
     for (const auto& key : data::dataset_keys()) {
-      data::GenOptions g;
-      g.n_rows = std::min<std::size_t>(opt.rows_for(key), 2000);
-      g.seed = opt.seed;
-      const auto d = data::generate_dataset(key, g);
+      const auto d = bench::load(key, opt, 2000);
       core::GgrOptions go;
       go.max_row_depth = 4;
       go.max_col_depth = 2;
@@ -60,10 +57,7 @@ int main(int argc, char** argv) {
     util::print_banner("depth sweep (movies): PHC fraction / solver ms");
     util::TablePrinter tp({"row depth", "col depth", "no-FD frac", "no-FD ms",
                            "FD frac", "FD ms", "fallbacks (FD)"});
-    data::GenOptions g;
-    g.n_rows = std::min<std::size_t>(opt.rows_for("movies"), 3000);
-    g.seed = opt.seed;
-    const auto d = data::generate_dataset("movies", g);
+    const auto d = bench::load("movies", opt, 3000);
     for (int rd : {0, 1, 2, 4, 8, 16}) {
       for (int cd : {1, 2, 4}) {
         core::GgrOptions go;
@@ -89,10 +83,7 @@ int main(int argc, char** argv) {
     util::print_banner("HITCOUNT threshold sweep (products)");
     util::TablePrinter tp(
         {"threshold", "hit frac", "solver ms", "recursion nodes"});
-    data::GenOptions g;
-    g.n_rows = std::min<std::size_t>(opt.rows_for("products"), 3000);
-    g.seed = opt.seed;
-    const auto d = data::generate_dataset("products", g);
+    const auto d = bench::load("products", opt, 3000);
     for (double thr : {0.0, 1e3, 1e4, 1e5, 1e6, 1e9}) {
       core::GgrOptions go;
       go.max_row_depth = -1;
@@ -113,10 +104,7 @@ int main(int argc, char** argv) {
     util::TablePrinter tp({"dataset", "GGR", "GGR+refine", "moves",
                            "refine ms"});
     for (const char* key : {"movies", "pdmx", "beer"}) {
-      data::GenOptions g;
-      g.n_rows = std::min<std::size_t>(opt.rows_for(key), 2000);
-      g.seed = opt.seed;
-      const auto d = data::generate_dataset(key, g);
+      const auto d = bench::load(key, opt, 2000);
       core::GgrOptions go;
       go.max_row_depth = 4;
       go.max_col_depth = 2;
@@ -135,10 +123,7 @@ int main(int argc, char** argv) {
     util::print_banner(
         "windowed GGR (movies): hit fraction vs reorder buffer size");
     util::TablePrinter tp({"window rows", "hit frac", "windows", "solver ms"});
-    data::GenOptions g;
-    g.n_rows = std::min<std::size_t>(opt.rows_for("movies"), 3000);
-    g.seed = opt.seed;
-    const auto d = data::generate_dataset("movies", g);
+    const auto d = bench::load("movies", opt, 3000);
     for (std::size_t window : {16u, 64u, 256u, 1024u, 0u}) {
       core::WindowedOptions wo;
       wo.window_rows = window;
@@ -156,10 +141,7 @@ int main(int argc, char** argv) {
   // Literal-paper HITCOUNT (unsquared inferred lengths) vs PHC-unit score.
   {
     util::print_banner("HITCOUNT inferred-length squaring (beer)");
-    data::GenOptions g;
-    g.n_rows = std::min<std::size_t>(opt.rows_for("beer"), 3000);
-    g.seed = opt.seed;
-    const auto d = data::generate_dataset("beer", g);
+    const auto d = bench::load("beer", opt, 3000);
     core::GgrOptions go;
     go.max_row_depth = 4;
     go.max_col_depth = 2;

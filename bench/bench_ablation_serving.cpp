@@ -14,10 +14,7 @@ int main(int argc, char** argv) {
   bench::JsonReport json("bench_ablation_serving", opt);
 
   const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), 2000);
-  g.seed = opt.seed;
-  const auto d = data::generate_dataset(key, g);
+  const auto d = bench::load(key, opt, 2000);
   const auto& spec = data::query_by_id("movies-filter");
   const double base_kvf = static_cast<double>(d.table.num_rows()) /
                           static_cast<double>(data::paper_rows(key));

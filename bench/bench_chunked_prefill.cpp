@@ -102,8 +102,6 @@ serve::OnlineConfig serving_config() {
   return cfg;
 }
 
-std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
-
 // ---- deep-backlog admission microbench ----
 
 llm::ModelSpec tiny_model() {
@@ -203,9 +201,10 @@ int main(int argc, char** argv) {
                                    r.engine.recompute_prefill_tokens);
         all_conserved = all_conserved && conserved;
         tp.add_row({mix.name, std::to_string(chunk),
-                    ms(ic.latency.p99_ttft), ms(ic.latency.p99_itl),
-                    ms(r.engine.max_decode_stall_seconds),
-                    ms(bc.latency.p99_e2e),
+                    bench::ms(ic.latency.p99_ttft),
+                    bench::ms(ic.latency.p99_itl),
+                    bench::ms(r.engine.max_decode_stall_seconds),
+                    bench::ms(bc.latency.p99_e2e),
                     util::fmt(r.latency.goodput_rps, 1)});
         json.add("chunk_mix_sweep",
                  {{"mix", mix.name},
@@ -227,9 +226,10 @@ int main(int argc, char** argv) {
             llm::PriorityClass::Interactive)];
         std::printf("  %s @ chunk=64: int p99 TTFT %s -> %s ms, "
                     "p99 ITL %s -> %s ms vs monolithic\n",
-                    mix.name, ms(mono_ttft).c_str(),
-                    ms(ic.latency.p99_ttft).c_str(), ms(mono_itl).c_str(),
-                    ms(ic.latency.p99_itl).c_str());
+                    mix.name, bench::ms(mono_ttft).c_str(),
+                    bench::ms(ic.latency.p99_ttft).c_str(),
+                    bench::ms(mono_itl).c_str(),
+                    bench::ms(ic.latency.p99_itl).c_str());
       }
     }
     tp.print();

@@ -35,6 +35,7 @@
 #include "obs/trace.hpp"
 #include "query/executor.hpp"
 #include "query/metrics.hpp"
+#include "serve/online.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table_printer.hpp"
@@ -362,11 +363,45 @@ inline void write_trace(const BenchOptions& opt, const obs::TraceLog& log,
   }
 }
 
-inline data::Dataset load(const std::string& key, const BenchOptions& opt) {
+/// The scaled dataset (BenchOptions::rows_for), at most `row_cap` rows.
+inline data::Dataset load(
+    const std::string& key, const BenchOptions& opt,
+    std::size_t row_cap = std::numeric_limits<std::size_t>::max()) {
   data::GenOptions g;
-  g.n_rows = opt.rows_for(key);
+  g.n_rows = std::min(opt.rows_for(key), row_cap);
   g.seed = opt.seed;
   return data::generate_dataset(key, g);
+}
+
+/// The workload the serving benches share: the movies-filter operator
+/// over the scaled movies rows.
+struct ServeFixture {
+  table::Table table;  // projected to the operator's fields
+  table::FdSet fds;
+  /// The operator's prompts and output length, and the data-proportional
+  /// KV pool (a bench that shards or shrinks it re-scales per run); the
+  /// rest is the bench's to set.
+  serve::OnlineConfig config;
+  double kv_fraction = 1.0;  // rows served / the paper's rows
+};
+
+/// The ServeFixture over at most `row_cap` rows.
+inline ServeFixture movies_filter_fixture(const BenchOptions& opt,
+                                          std::size_t row_cap) {
+  const char* key = "movies";
+  data::Dataset d = load(key, opt, row_cap);
+  const data::QuerySpec& spec = data::query_by_id("movies-filter");
+  ServeFixture s;
+  s.table = spec.stage1.fields.empty() ? std::move(d.table)
+                                       : d.table.project(spec.stage1.fields);
+  s.fds = std::move(d.fds);
+  s.config.prompt.system_prompt = spec.system_prompt;
+  s.config.prompt.user_prompt = spec.stage1.user_prompt;
+  s.config.avg_output_tokens = spec.stage1.avg_output_tokens;
+  s.kv_fraction = static_cast<double>(s.table.num_rows()) /
+                  static_cast<double>(data::paper_rows(key));
+  s.config.scale_kv_pool(s.kv_fraction);
+  return s;
 }
 
 inline void print_header(const char* title, const BenchOptions& opt) {
@@ -376,8 +411,9 @@ inline void print_header(const char* title, const BenchOptions& opt) {
               opt.scale, static_cast<unsigned long long>(opt.seed));
 }
 
-/// Format simulated seconds for table cells.
+/// Format simulated seconds for table cells (ms: as whole milliseconds).
 inline std::string secs(double s) { return util::fmt(s, 1); }
+inline std::string ms(double s) { return util::fmt(1000.0 * s, 0); }
 inline std::string pct(double f) { return util::fmt(100.0 * f, 1) + "%"; }
 
 }  // namespace llmq::bench

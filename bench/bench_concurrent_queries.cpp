@@ -63,10 +63,7 @@ int main(int argc, char** argv) {
   bench::JsonReport json("bench_concurrent_queries", opt);
 
   const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), 400);
-  g.seed = opt.seed;
-  const data::Dataset d = data::generate_dataset(key, g);
+  const data::Dataset d = bench::load(key, opt, 400);
   const double kvf = static_cast<double>(d.table.num_rows()) /
                      static_cast<double>(data::paper_rows(key));
 

@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
       const auto b_orig = util::bootstrap_mean(xs_orig, kResamples, rng_o);
       const auto b_ggr = util::bootstrap_mean(xs_ggr, kResamples, rng_g);
 
-      const double diff = b_ggr.median_of_medians - b_orig.median_of_medians;
-      tp.add_row({d.name, bench::pct(b_orig.median_of_medians),
-                  bench::pct(b_ggr.median_of_medians),
+      const double diff = b_ggr.median - b_orig.median;
+      tp.add_row({d.name, bench::pct(b_orig.median),
+                  bench::pct(b_ggr.median),
                   (diff >= 0 ? "+" : "") + util::fmt(100 * diff, 1) + "%",
                   "[" + bench::pct(b_orig.ci_low) + ", " +
                       bench::pct(b_orig.ci_high) + "]",

@@ -26,48 +26,8 @@ using namespace llmq;
 
 namespace {
 
-struct PrioSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;
-};
-
-PrioSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
-
-  PrioSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
-  s.config.avg_output_tokens = 8.0;
-  // Interactive rows are short completions; batch rows are long analytics
-  // generations that hold batch slots — the preemption target.
-  s.config.class_output_multiplier = {0.5, 1.0, 8.0};
-  s.config.ttft_slo_seconds = 2.0;
-  s.config.scheduler.policy = serve::Policy::WindowedGgr;
-  s.config.scheduler.window_rows = 32;
-  s.config.scheduler.max_wait_seconds = 1.0;
-  s.config.scheduler.priority_order = true;
-  s.config.scheduler.aging_seconds = 60.0;
-  s.config.engine.max_batch_size = 8;
-  s.config.engine.priority_aging_seconds = 60.0;
-  s.config.n_replicas = 2;
-  s.config.router = serve::RouterPolicy::PrefixAffinity;
-  const double kvf = static_cast<double>(s.table.num_rows()) /
-                     static_cast<double>(data::paper_rows(key));
-  s.config.scale_kv_pool(kvf);
-  return s;
-}
-
-std::vector<serve::Arrival> make_stream(const PrioSetup& s, double rate,
-                                        std::uint64_t seed) {
+std::vector<serve::Arrival> make_stream(const bench::ServeFixture& s,
+                                        double rate, std::uint64_t seed) {
   serve::WorkloadOptions w;
   w.arrival_rate = rate;
   w.n_tenants = 3;
@@ -85,8 +45,6 @@ const serve::PriorityClassMetrics& cls(const serve::OnlineRunResult& r,
   return r.per_class[static_cast<std::size_t>(c)];
 }
 
-std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -95,7 +53,21 @@ int main(int argc, char** argv) {
       "Priority classes — engine-level preemption under overload", opt);
   bench::JsonReport json("bench_priority_preemption", opt);
 
-  const PrioSetup s = make_setup(opt, 600);
+  bench::ServeFixture s = bench::movies_filter_fixture(opt, 600);
+  s.config.avg_output_tokens = 8.0;
+  // Interactive rows are short completions; batch rows are long analytics
+  // generations that hold batch slots — the preemption target.
+  s.config.class_output_multiplier = {0.5, 1.0, 8.0};
+  s.config.ttft_slo_seconds = 2.0;
+  s.config.scheduler.policy = serve::Policy::WindowedGgr;
+  s.config.scheduler.window_rows = 32;
+  s.config.scheduler.max_wait_seconds = 1.0;
+  s.config.scheduler.priority_order = true;
+  s.config.scheduler.aging_seconds = 60.0;
+  s.config.engine.max_batch_size = 8;
+  s.config.engine.priority_aging_seconds = 60.0;
+  s.config.n_replicas = 2;
+  s.config.router = serve::RouterPolicy::PrefixAffinity;
   const std::size_t n = s.table.num_rows();
   std::printf("serving %zu movie rows as a 3-class stream "
               "(interactive/standard/batch tenants, batch decodes 8x)\n\n",
@@ -126,8 +98,9 @@ int main(int argc, char** argv) {
         if (mult == 2.0 && preempt) p99_on_2x = ic.latency.p99_ttft;
         if (mult == 2.0 && !preempt) p99_off_2x = ic.latency.p99_ttft;
         tp.add_row({util::fmt(mult, 0), preempt ? "on" : "off",
-                    ms(ic.latency.p99_ttft), ms(sc.latency.p99_ttft),
-                    ms(bc.latency.p99_e2e),
+                    bench::ms(ic.latency.p99_ttft),
+                    bench::ms(sc.latency.p99_ttft),
+                    bench::ms(bc.latency.p99_e2e),
                     util::fmt(ic.latency.goodput_rps, 1),
                     std::to_string(bc.requests),
                     std::to_string(r.engine.preemptions),
@@ -150,7 +123,7 @@ int main(int argc, char** argv) {
     if (p99_off_2x > 0.0)
       std::printf("\nat 2x overload: interactive p99 TTFT %s ms (preempt on) "
                   "vs %s ms (off) — %.2fx\n",
-                  ms(p99_on_2x).c_str(), ms(p99_off_2x).c_str(),
+                  bench::ms(p99_on_2x).c_str(), bench::ms(p99_off_2x).c_str(),
                   p99_on_2x > 0.0 ? p99_off_2x / p99_on_2x : 0.0);
   }
 
@@ -168,8 +141,8 @@ int main(int argc, char** argv) {
       const auto r = serve::run_online(s.table, s.fds, arrivals, cfg);
       const auto& ic = cls(r, llm::PriorityClass::Interactive);
       const auto& bc = cls(r, llm::PriorityClass::Batch);
-      tp.add_row({util::fmt(aging, 0), ms(ic.latency.p99_ttft),
-                  ms(bc.latency.p99_e2e), std::to_string(bc.requests),
+      tp.add_row({util::fmt(aging, 0), bench::ms(ic.latency.p99_ttft),
+                  bench::ms(bc.latency.p99_e2e), std::to_string(bc.requests),
                   std::to_string(r.engine.preemptions)});
       json.add("aging_sweep",
                {{"aging_s", aging},

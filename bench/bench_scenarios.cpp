@@ -40,35 +40,6 @@ using namespace llmq;
 
 namespace {
 
-struct ServeSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;
-  double kv_fraction = 1.0;
-};
-
-ServeSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
-
-  ServeSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.kv_fraction = static_cast<double>(s.table.num_rows()) /
-                  static_cast<double>(data::paper_rows(key));
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
-  s.config.avg_output_tokens = spec.stage1.avg_output_tokens;
-  s.config.ttft_slo_seconds = 30.0;
-  s.config.router = serve::RouterPolicy::PrefixAffinity;
-  return s;
-}
-
 /// p99 TTFT over the completions a predicate selects; 0 when none match.
 template <typename Pred>
 double p99_ttft_where(const serve::OnlineRunResult& r, Pred&& pred) {
@@ -91,7 +62,9 @@ int main(int argc, char** argv) {
       "Serving scenarios — sessions, agents & length-aware scheduling", opt);
   bench::JsonReport json("bench_scenarios", opt);
 
-  const ServeSetup s = make_setup(opt, 600);
+  bench::ServeFixture s = bench::movies_filter_fixture(opt, 600);
+  s.config.ttft_slo_seconds = 30.0;
+  s.config.router = serve::RouterPolicy::PrefixAffinity;
   const std::size_t n = s.table.num_rows();
 
   // ---- 1. Multi-turn chat sessions vs the one-shot baseline. ----

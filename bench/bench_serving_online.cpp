@@ -23,35 +23,7 @@ using namespace llmq;
 
 namespace {
 
-struct ServeSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;  // scheduler policy/bounds set per run
-};
-
-ServeSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
-
-  ServeSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
-  s.config.avg_output_tokens = spec.stage1.avg_output_tokens;
-  s.config.ttft_slo_seconds = 30.0;
-  const double kvf = static_cast<double>(s.table.num_rows()) /
-                     static_cast<double>(data::paper_rows(key));
-  s.config.scale_kv_pool(kvf);
-  return s;
-}
-
-serve::OnlineRunResult run_policy(const ServeSetup& s,
+serve::OnlineRunResult run_policy(const bench::ServeFixture& s,
                                   const std::vector<serve::Arrival>& arrivals,
                                   serve::Policy policy,
                                   std::size_t window_rows, double max_wait) {
@@ -62,8 +34,6 @@ serve::OnlineRunResult run_policy(const ServeSetup& s,
   return serve::run_online(s.table, s.fds, arrivals, cfg);
 }
 
-std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,7 +43,8 @@ int main(int argc, char** argv) {
       opt);
   bench::JsonReport json("bench_serving_online", opt);
 
-  const ServeSetup s = make_setup(opt, 1000);
+  bench::ServeFixture s = bench::movies_filter_fixture(opt, 1000);
+  s.config.ttft_slo_seconds = 30.0;
   const std::size_t n = s.table.num_rows();
   std::printf("serving %zu rows of movies-filter as a request stream\n\n", n);
 
@@ -100,8 +71,9 @@ int main(int argc, char** argv) {
         const auto r = run_policy(s, arrivals, p, 64, 8.0);
         tp.add_row({util::fmt(rate, 0), serve::to_string(p),
                     bench::pct(r.engine.prompt_cache_hit_rate()),
-                    ms(r.latency.p50_ttft), ms(r.latency.p99_ttft),
-                    ms(r.latency.mean_queue_delay),
+                    bench::ms(r.latency.p50_ttft),
+                    bench::ms(r.latency.p99_ttft),
+                    bench::ms(r.latency.mean_queue_delay),
                     util::fmt(r.latency.goodput_rps, 1),
                     std::to_string(r.windows)});
         json.add("rate_policy",
@@ -139,8 +111,8 @@ int main(int argc, char** argv) {
                       : 0.0;
         tp.add_row({util::fmt(deadline, 2), serve::to_string(p),
                     bench::pct(r.engine.prompt_cache_hit_rate()),
-                    ms(r.latency.p50_ttft), ms(r.latency.p99_ttft),
-                    util::fmt(mean_window, 1)});
+                    bench::ms(r.latency.p50_ttft),
+                    bench::ms(r.latency.p99_ttft), util::fmt(mean_window, 1)});
         json.add("deadline_sweep",
                  {{"deadline_s", deadline},
                   {"policy", serve::to_string(p)},
@@ -173,7 +145,8 @@ int main(int argc, char** argv) {
           run_policy(s, arrivals, serve::Policy::WindowedGgr, 64, 2.0);
       tp.add_row({bursty ? "bursty (4x/20%)" : "poisson",
                   bench::pct(r.engine.prompt_cache_hit_rate()),
-                  ms(r.latency.p50_ttft), ms(r.latency.p99_ttft),
+                  bench::ms(r.latency.p50_ttft),
+                  bench::ms(r.latency.p99_ttft),
                   std::to_string(r.engine.peak_batch_size)});
       json.add("burstiness",
                {{"process", bursty ? "bursty" : "poisson"},

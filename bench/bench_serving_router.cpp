@@ -25,48 +25,17 @@ using namespace llmq;
 
 namespace {
 
-struct ServeSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;
-};
-
-ServeSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
-
-  ServeSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
-  s.config.avg_output_tokens = spec.stage1.avg_output_tokens;
-  s.config.ttft_slo_seconds = 30.0;
-  s.config.scheduler.policy = serve::Policy::TenantGgr;
-  s.config.scheduler.window_rows = 64;
-  s.config.scheduler.max_wait_seconds = 4.0;
-  return s;
-}
-
-serve::OnlineRunResult run_sharded(const ServeSetup& s,
+serve::OnlineRunResult run_sharded(const bench::ServeFixture& s,
                                    const std::vector<serve::Arrival>& arrivals,
                                    std::size_t n_replicas,
-                                   serve::RouterPolicy router,
-                                   double kv_fraction) {
+                                   serve::RouterPolicy router) {
   serve::OnlineConfig cfg = s.config;
   cfg.n_replicas = n_replicas;
   cfg.router = router;
   // Fixed fleet budget: per-replica pool = single-engine pool / replicas.
-  cfg.scale_kv_pool(kv_fraction / static_cast<double>(n_replicas));
+  cfg.scale_kv_pool(s.kv_fraction / static_cast<double>(n_replicas));
   return serve::run_online(s.table, s.fds, arrivals, cfg);
 }
-
-std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
 
 const serve::RouterPolicy kPolicies[] = {
     serve::RouterPolicy::RoundRobin, serve::RouterPolicy::LeastLoaded,
@@ -80,10 +49,12 @@ int main(int argc, char** argv) {
       "Replicated serving — cache-affinity routing vs naive sharding", opt);
   bench::JsonReport json("bench_serving_router", opt);
 
-  const ServeSetup s = make_setup(opt, 1000);
+  bench::ServeFixture s = bench::movies_filter_fixture(opt, 1000);
+  s.config.ttft_slo_seconds = 30.0;
+  s.config.scheduler.policy = serve::Policy::TenantGgr;
+  s.config.scheduler.window_rows = 64;
+  s.config.scheduler.max_wait_seconds = 4.0;
   const std::size_t n = s.table.num_rows();
-  const double kvf = static_cast<double>(n) /
-                     static_cast<double>(data::paper_rows("movies"));
 
   serve::WorkloadOptions w;
   w.n_tenants = 8;
@@ -105,10 +76,11 @@ int main(int argc, char** argv) {
     const auto arrivals = serve::generate_arrivals(n, w);
     for (const std::size_t reps : {1u, 2u, 4u, 8u}) {
       for (const serve::RouterPolicy rp : kPolicies) {
-        const auto r = run_sharded(s, arrivals, reps, rp, kvf);
+        const auto r = run_sharded(s, arrivals, reps, rp);
         tp.add_row({std::to_string(reps), serve::to_string(rp),
                     bench::pct(r.engine.prompt_cache_hit_rate()),
-                    ms(r.latency.p50_ttft), ms(r.latency.p99_ttft),
+                    bench::ms(r.latency.p50_ttft),
+                    bench::ms(r.latency.p99_ttft),
                     util::fmt(r.load_imbalance, 2),
                     util::fmt(r.latency.goodput_rps, 1)});
         json.add("replicas_policy",
@@ -135,10 +107,11 @@ int main(int argc, char** argv) {
       w.arrival_rate = rate;
       const auto arrivals = serve::generate_arrivals(n, w);
       for (const serve::RouterPolicy rp : kPolicies) {
-        const auto r = run_sharded(s, arrivals, 4, rp, kvf);
+        const auto r = run_sharded(s, arrivals, 4, rp);
         tp.add_row({util::fmt(rate, 0), serve::to_string(rp),
                     bench::pct(r.engine.prompt_cache_hit_rate()),
-                    ms(r.latency.p50_ttft), ms(r.latency.p99_ttft),
+                    bench::ms(r.latency.p50_ttft),
+                    bench::ms(r.latency.p99_ttft),
                     util::fmt(r.load_imbalance, 2),
                     util::fmt(r.latency.goodput_rps, 1)});
         json.add("policy_rate",

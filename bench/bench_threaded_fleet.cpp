@@ -34,35 +34,6 @@ using namespace llmq;
 
 namespace {
 
-struct ServeSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;
-};
-
-ServeSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
-
-  ServeSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
-  s.config.avg_output_tokens = spec.stage1.avg_output_tokens;
-  s.config.ttft_slo_seconds = 30.0;
-  s.config.scheduler.policy = serve::Policy::TenantGgr;
-  s.config.scheduler.window_rows = 64;
-  s.config.scheduler.max_wait_seconds = 4.0;
-  s.config.router = serve::RouterPolicy::PrefixAffinity;
-  return s;
-}
-
 /// Simulated headline numbers match between the two runtimes (the full
 /// bit-identity lives in tests/threaded/; this is the bench's tripwire).
 bool determinism_match(const serve::OnlineRunResult& a,
@@ -76,8 +47,6 @@ bool determinism_match(const serve::OnlineRunResult& a,
          a.load_imbalance == b.load_imbalance;
 }
 
-std::string ms(double seconds) { return util::fmt(1000.0 * seconds, 0); }
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -86,10 +55,13 @@ int main(int argc, char** argv) {
                       opt);
   bench::JsonReport json("bench_threaded_fleet", opt);
 
-  const ServeSetup s = make_setup(opt, 1000);
+  bench::ServeFixture s = bench::movies_filter_fixture(opt, 1000);
+  s.config.ttft_slo_seconds = 30.0;
+  s.config.scheduler.policy = serve::Policy::TenantGgr;
+  s.config.scheduler.window_rows = 64;
+  s.config.scheduler.max_wait_seconds = 4.0;
+  s.config.router = serve::RouterPolicy::PrefixAffinity;
   const std::size_t n = s.table.num_rows();
-  const double kvf = static_cast<double>(n) /
-                     static_cast<double>(data::paper_rows("movies"));
   const unsigned cores = std::thread::hardware_concurrency();
 
   serve::WorkloadOptions w;
@@ -115,7 +87,7 @@ int main(int argc, char** argv) {
     serve::OnlineConfig cfg = s.config;
     cfg.n_replicas = reps;
     // Fixed fleet budget: per-replica pool = single-engine pool / replicas.
-    cfg.scale_kv_pool(kvf / static_cast<double>(reps));
+    cfg.scale_kv_pool(s.kv_fraction / static_cast<double>(reps));
 
     serve::OnlineRunResult virt, thr;
     const double virt_s = timer.min_seconds(
@@ -134,10 +106,10 @@ int main(int argc, char** argv) {
                                           thr.engine.output_tokens) /
                           thr_s
                     : 0.0;
-    tp.add_row({std::to_string(reps), ms(virt_s), ms(thr_s),
+    tp.add_row({std::to_string(reps), bench::ms(virt_s), bench::ms(thr_s),
                 util::fmt(speedup, 2), util::fmt(rps, 0), util::fmt(tps, 0),
                 bench::pct(thr.engine.prompt_cache_hit_rate()),
-                ms(thr.latency.p99_ttft), identical ? "yes" : "NO"});
+                bench::ms(thr.latency.p99_ttft), identical ? "yes" : "NO"});
     json.add("threaded_scaling",
              {{"replicas", reps},
               {"hardware_threads", static_cast<std::size_t>(cores)},

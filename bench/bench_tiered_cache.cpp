@@ -31,45 +31,8 @@ using namespace llmq;
 
 namespace {
 
-struct TierSetup {
-  table::Table table;
-  table::FdSet fds;
-  serve::OnlineConfig config;
-  double kvf = 1.0;
-};
-
-TierSetup make_setup(const bench::BenchOptions& opt, std::size_t row_cap) {
-  const char* key = "movies";
-  data::GenOptions g;
-  g.n_rows = std::min<std::size_t>(opt.rows_for(key), row_cap);
-  g.seed = opt.seed;
-  data::Dataset d = data::generate_dataset(key, g);
-  const data::QuerySpec& spec = data::query_by_id("movies-filter");
-
-  TierSetup s;
-  s.table = spec.stage1.fields.empty() ? d.table
-                                       : d.table.project(spec.stage1.fields);
-  s.fds = d.fds;
-  s.kvf = static_cast<double>(s.table.num_rows()) /
-          static_cast<double>(data::paper_rows(key));
-  s.config.prompt.system_prompt = spec.system_prompt;
-  s.config.prompt.user_prompt = spec.stage1.user_prompt;
-  s.config.avg_output_tokens = 6.0;
-  s.config.class_output_multiplier = {0.5, 1.0, 4.0};
-  s.config.ttft_slo_seconds = 2.0;
-  s.config.scheduler.policy = serve::Policy::WindowedGgr;
-  s.config.scheduler.window_rows = 32;
-  s.config.scheduler.max_wait_seconds = 1.0;
-  s.config.scheduler.priority_order = true;
-  s.config.scheduler.aging_seconds = 8.0;
-  s.config.engine.max_batch_size = 8;
-  s.config.engine.priority_aging_seconds = 8.0;
-  s.config.router = serve::RouterPolicy::PrefixAffinity;
-  return s;
-}
-
-std::vector<serve::Arrival> make_stream(const TierSetup& s, double rate,
-                                        std::uint64_t seed) {
+std::vector<serve::Arrival> make_stream(const bench::ServeFixture& s,
+                                        double rate, std::uint64_t seed) {
   serve::WorkloadOptions w;
   w.arrival_rate = rate;
   w.n_tenants = 9;        // 3 tenants per class
@@ -90,10 +53,10 @@ const serve::PriorityClassMetrics& cls(const serve::OnlineRunResult& r,
 /// Shared fleet budget, deliberately tight: the per-replica GPU pool is
 /// HALF the proportional share, so the flat cache sheds shared prefixes
 /// under load — the regime the tier hierarchy exists for.
-void apply_pool(serve::OnlineConfig& cfg, const TierSetup& s,
+void apply_pool(serve::OnlineConfig& cfg, const bench::ServeFixture& s,
                 std::size_t reps) {
   cfg.n_replicas = reps;
-  cfg.scale_kv_pool(0.5 * s.kvf / static_cast<double>(reps));
+  cfg.scale_kv_pool(0.5 * s.kv_fraction / static_cast<double>(reps));
 }
 
 bool determinism_match(const serve::OnlineRunResult& a,
@@ -117,7 +80,18 @@ int main(int argc, char** argv) {
   bench::print_header("Tiered KV cache + elastic fleet vs flat cache", opt);
   bench::JsonReport json("bench_tiered_cache", opt);
 
-  const TierSetup s = make_setup(opt, 600);
+  bench::ServeFixture s = bench::movies_filter_fixture(opt, 600);
+  s.config.avg_output_tokens = 6.0;
+  s.config.class_output_multiplier = {0.5, 1.0, 4.0};
+  s.config.ttft_slo_seconds = 2.0;
+  s.config.scheduler.policy = serve::Policy::WindowedGgr;
+  s.config.scheduler.window_rows = 32;
+  s.config.scheduler.max_wait_seconds = 1.0;
+  s.config.scheduler.priority_order = true;
+  s.config.scheduler.aging_seconds = 8.0;
+  s.config.engine.max_batch_size = 8;
+  s.config.engine.priority_aging_seconds = 8.0;
+  s.config.router = serve::RouterPolicy::PrefixAffinity;
   const std::size_t n = s.table.num_rows();
   // Constant per-replica overload: arrivals outpace sustainable goodput at
   // every fleet size without collapsing the small fleets into a pure

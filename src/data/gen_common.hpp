@@ -39,28 +39,4 @@ inline std::string pick_label(std::string_view content, std::uint64_t salt,
   return choices.back();
 }
 
-/// A pool of reusable values (metadata-style): `count` values, each text of
-/// ~`tokens` tokens, sampled by Zipf(skew) — models skewed references to
-/// popular items.
-class ValuePool {
- public:
-  ValuePool(util::Rng rng, std::size_t count, std::size_t tokens,
-            double zipf_skew, const util::WordBank& bank = util::default_wordbank())
-      : zipf_(count, zipf_skew) {
-    values_.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-      values_.push_back(bank.text_of_tokens(rng, tokens));
-  }
-
-  const std::string& sample(util::Rng& rng) const {
-    return values_[zipf_.sample(rng)];
-  }
-  const std::string& at(std::size_t i) const { return values_[i % values_.size()]; }
-  std::size_t size() const { return values_.size(); }
-
- private:
-  std::vector<std::string> values_;
-  util::Zipf zipf_;
-};
-
 }  // namespace llmq::data::detail

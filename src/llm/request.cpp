@@ -14,13 +14,6 @@ std::string to_string(PriorityClass c) {
   return "?";
 }
 
-std::optional<PriorityClass> priority_from_string(const std::string& name) {
-  if (name == "interactive") return PriorityClass::Interactive;
-  if (name == "standard") return PriorityClass::Standard;
-  if (name == "batch") return PriorityClass::Batch;
-  return std::nullopt;
-}
-
 PriorityClass aged_class(PriorityClass base, double waited_seconds,
                          double aging_seconds) {
   if (aging_seconds <= 0.0 || waited_seconds < aging_seconds) return base;

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "tokenizer/tokenizer.hpp"
@@ -25,7 +24,6 @@ enum class PriorityClass : std::uint8_t {
 inline constexpr std::size_t kNumPriorityClasses = 3;
 
 std::string to_string(PriorityClass c);
-std::optional<PriorityClass> priority_from_string(const std::string& name);
 
 /// Anti-starvation aging: a request that has waited `waited_seconds` is
 /// promoted one class per full `aging_seconds` elapsed, clamped at

@@ -157,10 +157,8 @@ class ReplicaFleet {
   }
 
   /// Elasticity observers (constant under a disabled ElasticityConfig:
-  /// every replica active, none draining, nothing pending).
+  /// every replica active, nothing pending).
   std::size_t active_replicas() const;
-  bool replica_active(std::size_t r) const { return active_[r] != 0; }
-  bool replica_draining(std::size_t r) const { return draining_[r] != 0; }
   std::size_t pending_migrations() const { return pending_.size(); }
 
   /// Bind an event sink: each replica session (and its cache) emits on

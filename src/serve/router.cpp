@@ -16,16 +16,6 @@ std::string to_string(RouterPolicy p) {
   return "?";
 }
 
-std::optional<RouterPolicy> router_policy_from_string(const std::string& name) {
-  if (name == "round-robin" || name == "rr") return RouterPolicy::RoundRobin;
-  if (name == "least-loaded" || name == "ll") return RouterPolicy::LeastLoaded;
-  if (name == "tenant-hash" || name == "tenant")
-    return RouterPolicy::TenantHash;
-  if (name == "prefix-affinity" || name == "affinity")
-    return RouterPolicy::PrefixAffinity;
-  return std::nullopt;
-}
-
 namespace {
 
 /// Tenant ids are small sequential integers, so a plain modulo would map

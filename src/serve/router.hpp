@@ -43,7 +43,6 @@
 // recency order they are probing.
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -55,7 +54,6 @@ namespace llmq::serve {
 enum class RouterPolicy { RoundRobin, LeastLoaded, TenantHash, PrefixAffinity };
 
 std::string to_string(RouterPolicy p);
-std::optional<RouterPolicy> router_policy_from_string(const std::string& name);
 
 class Router {
  public:

@@ -18,13 +18,6 @@ std::string to_string(Policy p) {
   return "?";
 }
 
-std::optional<Policy> policy_from_string(const std::string& name) {
-  if (name == "fifo" || name == "FIFO") return Policy::Fifo;
-  if (name == "ggr" || name == "windowed-ggr") return Policy::WindowedGgr;
-  if (name == "tenant-ggr" || name == "tenant") return Policy::TenantGgr;
-  return std::nullopt;
-}
-
 OnlineScheduler::OnlineScheduler(const table::Table& t,
                                  const table::FdSet& fds,
                                  SchedulerOptions options)

@@ -43,7 +43,6 @@ namespace llmq::serve {
 enum class Policy { Fifo, WindowedGgr, TenantGgr };
 
 std::string to_string(Policy p);
-std::optional<Policy> policy_from_string(const std::string& name);
 
 /// At least one bound must be set: `window_rows == 0` together with
 /// `max_wait_seconds <= 0` would never dispatch (the scheduler constructor

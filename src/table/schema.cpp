@@ -4,16 +4,6 @@
 
 namespace llmq::table {
 
-std::string_view to_string(FieldType t) {
-  switch (t) {
-    case FieldType::Text: return "text";
-    case FieldType::Int: return "int";
-    case FieldType::Float: return "float";
-    case FieldType::Bool: return "bool";
-  }
-  return "?";
-}
-
 Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {
   for (std::size_t i = 0; i < fields_.size(); ++i) {
     for (std::size_t j = i + 1; j < fields_.size(); ++j) {
@@ -27,7 +17,7 @@ Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {
 Schema Schema::of_names(std::vector<std::string> names) {
   std::vector<Field> fs;
   fs.reserve(names.size());
-  for (auto& n : names) fs.push_back(Field{std::move(n), FieldType::Text});
+  for (auto& n : names) fs.push_back(Field{std::move(n)});
   return Schema(std::move(fs));
 }
 
@@ -48,16 +38,6 @@ Schema Schema::project(const std::vector<std::size_t>& indices) const {
   fs.reserve(indices.size());
   for (std::size_t i : indices) fs.push_back(fields_.at(i));
   return Schema(std::move(fs));
-}
-
-bool Schema::operator==(const Schema& other) const {
-  if (fields_.size() != other.fields_.size()) return false;
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    if (fields_[i].name != other.fields_[i].name ||
-        fields_[i].type != other.fields_[i].type)
-      return false;
-  }
-  return true;
 }
 
 }  // namespace llmq::table

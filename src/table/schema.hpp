@@ -9,13 +9,9 @@
 
 namespace llmq::table {
 
-enum class FieldType { Text, Int, Float, Bool };
-
-std::string_view to_string(FieldType t);
-
 struct Field {
   std::string name;
-  FieldType type = FieldType::Text;
+  bool operator==(const Field&) const = default;
 };
 
 class Schema {
@@ -23,7 +19,7 @@ class Schema {
   Schema() = default;
   explicit Schema(std::vector<Field> fields);
 
-  /// Convenience: all-Text schema from names.
+  /// Convenience: a schema of these field names.
   static Schema of_names(std::vector<std::string> names);
 
   std::size_t size() const { return fields_.size(); }
@@ -41,7 +37,7 @@ class Schema {
   /// New schema keeping only `indices`, in that order.
   Schema project(const std::vector<std::size_t>& indices) const;
 
-  bool operator==(const Schema& other) const;
+  bool operator==(const Schema&) const = default;
 
  private:
   std::vector<Field> fields_;

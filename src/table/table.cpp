@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace llmq::table {
 
@@ -55,28 +54,6 @@ Table Table::head(std::size_t n) const {
   std::vector<std::size_t> idx(std::min(n, num_rows_));
   std::iota(idx.begin(), idx.end(), 0);
   return take_rows(idx);
-}
-
-void Table::append_table(const Table& other) {
-  if (!(schema_ == other.schema_))
-    throw std::invalid_argument("Table::append_table: schema mismatch");
-  for (std::size_t c = 0; c < num_cols(); ++c)
-    columns_[c].insert(columns_[c].end(), other.columns_[c].begin(),
-                       other.columns_[c].end());
-  num_rows_ += other.num_rows_;
-}
-
-std::vector<Table::Group> Table::group_by_value(std::size_t col) const {
-  std::vector<Group> groups;
-  std::unordered_map<std::string_view, std::size_t> index;
-  index.reserve(num_rows_ * 2);
-  for (std::size_t r = 0; r < num_rows_; ++r) {
-    const std::string& v = columns_[col][r];
-    auto [it, inserted] = index.try_emplace(v, groups.size());
-    if (inserted) groups.push_back(Group{v, {}});
-    groups[it->second].rows.push_back(r);
-  }
-  return groups;
 }
 
 std::vector<std::size_t> Table::sorted_row_order(

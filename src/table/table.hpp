@@ -48,16 +48,6 @@ class Table {
   /// First `n` rows (or all if fewer) — used by the OPHR-sample ablation.
   Table head(std::size_t n) const;
 
-  /// Concatenate another table with an identical schema.
-  void append_table(const Table& other);
-
-  /// Distinct values of a column with their row lists, in first-seen order.
-  struct Group {
-    std::string value;
-    std::vector<std::size_t> rows;
-  };
-  std::vector<Group> group_by_value(std::size_t col) const;
-
   /// Rows sorted lexicographically by the given field priority (indices
   /// into the schema). Returns the permutation, does not reorder storage.
   std::vector<std::size_t> sorted_row_order(

@@ -29,11 +29,4 @@ std::optional<double> parse_double(std::string_view s) {
   return v;
 }
 
-std::optional<bool> parse_bool(std::string_view s) {
-  const std::string t = util::to_lower(util::trim(s));
-  if (t == "true" || t == "1" || t == "yes") return true;
-  if (t == "false" || t == "0" || t == "no") return false;
-  return std::nullopt;
-}
-
 }  // namespace llmq::table

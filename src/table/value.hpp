@@ -17,6 +17,5 @@ namespace llmq::table {
 /// since analytics data is routinely dirty.
 std::optional<std::int64_t> parse_int(std::string_view s);
 std::optional<double> parse_double(std::string_view s);
-std::optional<bool> parse_bool(std::string_view s);
 
 }  // namespace llmq::table

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace llmq::util {
@@ -12,16 +11,6 @@ double mean(std::span<const double> xs) {
   for (double x : xs) s += x;
   return s / static_cast<double>(xs.size());
 }
-
-double variance(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
 double median(std::vector<double> xs) {
   if (xs.empty()) return 0.0;
@@ -51,68 +40,20 @@ double percentile_sorted(std::span<const double> sorted, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
-double min_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return *std::max_element(xs.begin(), xs.end());
-}
-
-namespace {
-
-template <typename Statistic>
-BootstrapResult bootstrap_impl(std::span<const double> xs,
-                               std::size_t n_resamples, Rng& rng,
-                               Statistic stat) {
+BootstrapResult bootstrap_mean(std::span<const double> xs,
+                               std::size_t n_resamples, Rng& rng) {
   if (xs.empty()) throw std::invalid_argument("bootstrap: empty sample");
   BootstrapResult out;
   out.samples.reserve(n_resamples);
   std::vector<double> draw(xs.size());
   for (std::size_t i = 0; i < n_resamples; ++i) {
     for (auto& d : draw) d = xs[rng.next_below(xs.size())];
-    out.samples.push_back(stat(draw));
+    out.samples.push_back(mean(std::span<const double>(draw)));
   }
-  out.median_of_medians = median(out.samples);
+  out.median = median(out.samples);
   out.ci_low = percentile(out.samples, 2.5);
   out.ci_high = percentile(out.samples, 97.5);
   return out;
 }
-
-}  // namespace
-
-BootstrapResult bootstrap_median(std::span<const double> xs,
-                                 std::size_t n_resamples, Rng& rng) {
-  return bootstrap_impl(xs, n_resamples, rng,
-                        [](const std::vector<double>& d) { return median(d); });
-}
-
-BootstrapResult bootstrap_mean(std::span<const double> xs,
-                               std::size_t n_resamples, Rng& rng) {
-  return bootstrap_impl(xs, n_resamples, rng, [](const std::vector<double>& d) {
-    return mean(std::span<const double>(d));
-  });
-}
-
-void RunningStat::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace llmq::util

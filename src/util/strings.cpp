@@ -1,6 +1,5 @@
 #include "util/strings.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 
@@ -38,14 +37,6 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
@@ -58,17 +49,6 @@ std::string fmt(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
   return buf;
-}
-
-std::string with_commas(std::uint64_t v) {
-  std::string digits = std::to_string(v);
-  std::string out;
-  const std::size_t n = digits.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0 && (n - i) % 3 == 0) out += ',';
-    out += digits[i];
-  }
-  return out;
 }
 
 }  // namespace llmq::util

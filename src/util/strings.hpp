@@ -10,14 +10,10 @@ namespace llmq::util {
 std::vector<std::string> split(std::string_view s, char sep);
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 std::string_view trim(std::string_view s);
-std::string to_lower(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 bool contains(std::string_view haystack, std::string_view needle);
 
 /// Format a double with fixed decimals (locale-independent).
 std::string fmt(double v, int decimals);
-
-/// Human-readable large integers: 12345678 -> "12,345,678".
-std::string with_commas(std::uint64_t v);
 
 }  // namespace llmq::util

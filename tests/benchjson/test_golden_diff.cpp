@@ -1,24 +1,43 @@
-// Golden bench snapshot diffs.
+// Committed bench goldens: each is its bench's report schema and anchors
+// its headline numbers.
 //
-// BENCH_*.json at the repo root are committed snapshots of small-scale
-// bench runs (the perf-trajectory anchors). This suite re-runs each bench
-// at the snapshot's own scale/seed and diffs the *virtual-time* headline
-// numbers against the snapshot within tolerance bands: the simulation is
-// a pure function of (seed, config), so a drift here is a real behavior
-// change — a scheduler tweak moving p99 TTFT, a cache change moving PHR —
-// that must be acknowledged by regenerating the snapshot, not discovered
-// by downstream tooling. Wall-clock keys measure the host, not the code:
-// virtual-time benches never compare them at all, and bench_micro's
-// wall-clock keys (same-run ratios only; its us/op values are report-only)
-// are compared only between release non-sanitizer builds (provenance
-// gate).
+// BENCH_<name>.json at the repo root is a committed snapshot of one small
+// bench_<name> run (a perf-trajectory anchor). It names its binary in its
+// `bench` field and records every section, key and value type the report
+// carries, so the golden is the report's schema: a silently renamed key
+// or retyped value would break downstream tooling, and fails here. For
+// every golden this suite
+//   1. re-runs the bench at the golden's own scale/seed: the rerun must
+//      have exactly the golden's sections and record counts, and every
+//      golden key with the same JSON type (a report may gain keys); only
+//      then are the bench's DiffKey bands read;
+//   2. runs it again at --scale 0.01 --seed 7: every golden section must
+//      be non-empty, with the golden's keys and types.
+// Every golden needs a diff_keys() entry, and every entry a golden.
+//
+// The bands: the simulation is a pure function of (seed, config), so a
+// drift is a real behavior change — a scheduler tweak moving p99 TTFT, a
+// cache change moving PHR — that must be acknowledged by regenerating the
+// snapshot, not discovered by downstream tooling. Wall-clock keys measure
+// the host, not the code: virtual-time benches never band them, and
+// bench_micro's wall-clock keys (same-run ratios only; its us/op values
+// are report-only) are compared only between release non-sanitizer
+// builds (provenance gate).
+//
+// The bench binary directory is compiled in (LLMQ_BIN_DIR, set by
+// CMakeLists.txt to the build root); a golden whose bench is not built
+// (e.g. a -DLLMQ_BUILD_BENCHES=OFF build) skips rather than fails.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,7 +57,7 @@ namespace {
 /// Which drift fails a key. A same-run ratio fails only in the direction a
 /// regression moves it: a faster dispatched kernel is not a regression.
 /// Ceiling fails a rerun value above `tol` itself, without reading the
-/// snapshot (whose value may predate the key).
+/// snapshot's value (a host timing).
 enum class Fails { Either, Below, Above, Ceiling };
 
 struct DiffKey {
@@ -59,26 +78,32 @@ struct DiffKey {
   bool geomean = false;
 };
 
-struct GoldenSpec {
-  const char* binary;
-  const char* golden;  // filename at the repo root
-  std::vector<DiffKey> keys;
-};
-
-const std::vector<GoldenSpec>& golden_specs() {
+/// The banded keys of each golden'd bench, by binary name. Every other
+/// golden key is held to its presence and type only.
+const std::map<std::string, std::vector<DiffKey>>& diff_keys() {
   // PHR compares absolutely (it is already a fraction); latency tails
   // relatively, floored at 1 ms so near-zero arms don't demand exactness.
-  static const std::vector<GoldenSpec> specs = {
+  static const std::map<std::string, std::vector<DiffKey>> keys = {
       // The paper's headline table: PHR of the original and GGR orderings
       // per dataset. Exact, not banded — the serving benches' 0.02 bands
       // would let a tokenizer or core/ggr.cpp change move it unnoticed.
       {"bench_table2_phr",
-       "BENCH_table2_phr.json",
        {{"phr", "rows", false, 0.0},
         {"phr", "original_phr", false, 0.0},
         {"phr", "ggr_phr", false, 0.0}}},
+      // The serving-engine ablations behind Figs. 3-5 and Table 7: PHR and
+      // simulated job time per KV pool, batch and block size. Exact, as
+      // Table 2 is: job time is a sum of cost-model terms, no host timing.
+      {"bench_ablation_serving",
+       {{"kv_pool_sweep", "original_phr", false, 0.0},
+        {"kv_pool_sweep", "ggr_phr", false, 0.0},
+        {"kv_pool_sweep", "original_s", false, 0.0},
+        {"kv_pool_sweep", "ggr_s", false, 0.0},
+        {"batch_size_sweep", "original_s", false, 0.0},
+        {"batch_size_sweep", "ggr_s", false, 0.0},
+        {"block_size_sweep", "ggr_phr", false, 0.0},
+        {"block_size_sweep", "ggr_s", false, 0.0}}},
       {"bench_serving_online",
-       "BENCH_serving_online.json",
        {{"rate_policy", "phr", false, 0.02},
         {"rate_policy", "p99_ttft_s", true, 0.10},
         {"rate_policy", "goodput_rps", true, 0.10},
@@ -86,12 +111,10 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"deadline_sweep", "p99_ttft_s", true, 0.10},
         {"burstiness", "phr", false, 0.02}}},
       {"bench_chunked_prefill",
-       "BENCH_chunked_prefill.json",
        {{"chunk_mix_sweep", "interactive_p99_ttft_s", true, 0.10},
         {"chunk_mix_sweep", "interactive_p99_itl_s", true, 0.10},
         {"chunk_mix_sweep", "goodput_rps", true, 0.10}}},
       {"bench_serving_router",
-       "BENCH_serving_router.json",
        {{"replicas_policy", "agg_phr", false, 0.02},
         {"replicas_policy", "p50_ttft_s", true, 0.10},
         {"replicas_policy", "p99_ttft_s", true, 0.10},
@@ -102,7 +125,6 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"policy_rate", "p99_ttft_s", true, 0.10},
         {"policy_rate", "goodput_rps", true, 0.10}}},
       {"bench_priority_preemption",
-       "BENCH_priority_preemption.json",
        {{"overload", "agg_phr", false, 0.02},
         {"overload", "interactive_p99_ttft_s", true, 0.10},
         {"overload", "standard_p99_ttft_s", true, 0.10},
@@ -116,7 +138,6 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"aging_sweep", "batch_completed", true, 0.10},
         {"aging_sweep", "preemptions", true, 0.10}}},
       {"bench_threaded_fleet",
-       "BENCH_threaded_fleet.json",
        {{"threaded_scaling", "agg_phr", false, 0.02},
         {"threaded_scaling", "p99_ttft_s", true, 0.10},
         {"threaded_scaling", "load_imbalance", true, 0.10},
@@ -125,7 +146,6 @@ const std::vector<GoldenSpec>& golden_specs() {
         // deliberately not compared).
         {"threaded_scaling", "determinism_match", false, 0.0}}},
       {"bench_concurrent_queries",
-       "BENCH_concurrent_queries.json",
        {{"queries_router", "agg_phr", false, 0.02},
         {"queries_router", "effective_hit_fraction", false, 0.02},
         {"queries_router", "dedup_hits", false, 0.0},
@@ -138,7 +158,6 @@ const std::vector<GoldenSpec>& golden_specs() {
       // PHR and tails use the standard bands; predictor means are exact
       // up to the absolute band (pure EWMA replay, no simulation noise).
       {"bench_scenarios",
-       "BENCH_scenarios.json",
        {{"session_turns", "agg_phr", false, 0.02},
         {"session_turns", "requests", false, 0.0},
         {"session_turns", "windows", true, 0.10},
@@ -175,7 +194,6 @@ const std::vector<GoldenSpec>& golden_specs() {
       // (vs_small): it read 1.17-1.31 over 32 lone runs, and 11.1-11.6
       // with an arena scan per evict call.
       {"bench_micro",
-       "BENCH_micro.json",
        {{"token_ops", "hash_check", false, 0.0},
         {"token_ops", "lcp_speedup", true, 0.35, true, Fails::Below, true},
         {"token_ops", "hash_speedup", true, 0.35, true, Fails::Below, true},
@@ -201,7 +219,6 @@ const std::vector<GoldenSpec>& golden_specs() {
       // the magnitudes. Audit verdicts and the threaded-vs-oracle match
       // are exact — a band on a boolean hides a broken invariant.
       {"bench_tiered_cache",
-       "BENCH_tiered_cache.json",
        {{"tiers_vs_flat", "agg_phr", false, 0.02},
         {"tiers_vs_flat", "interactive_p99_ttft_s", true, 0.10},
         {"tiers_vs_flat", "goodput_rps", true, 0.10},
@@ -214,12 +231,28 @@ const std::vector<GoldenSpec>& golden_specs() {
         {"elasticity", "audit_ok", false, 0.0},
         {"determinism", "determinism_match", false, 0.0}}},
   };
-  return specs;
+  return keys;
 }
 
-bool file_exists(const std::string& path) {
-  std::ifstream f(path);
-  return f.good();
+/// The committed goldens: every BENCH_*.json at the repo root, sorted.
+std::vector<std::string> golden_files() {
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(LLMQ_REPO_ROOT)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("BENCH_") && name.ends_with(".json"))
+      names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::optional<util::JsonValue> parse_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in.good()) return std::nullopt;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return util::json_parse(buf.str());
 }
 
 /// True when a report's provenance says "release build, no sanitizer" —
@@ -233,117 +266,228 @@ bool timing_comparable(const util::JsonValue& doc) {
          build->as_string() == "release" && san->as_string() == "none";
 }
 
-std::optional<util::JsonValue> parse_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) return std::nullopt;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return util::json_parse(buf.str());
+/// Appends to `out` each key of the object `want` that `got` lacks or
+/// holds with another JSON type.
+void lacking_keys(const util::JsonValue& want, const util::JsonValue& got,
+                  const std::string& where, std::vector<std::string>& out) {
+  for (const auto& [key, value] : want.as_object()) {
+    const util::JsonValue* v = got.find(key);
+    if (v == nullptr)
+      out.push_back(where + " lacks key " + key);
+    else if (v->type() != value.type())
+      out.push_back(where + "." + key + " changed JSON type");
+  }
 }
 
-class BenchGoldenDiff : public ::testing::TestWithParam<GoldenSpec> {};
+/// How `run`'s report departs from the shape of `golden`: the envelope
+/// keeps the golden's keys, types and bench name, and the provenance
+/// strings are non-empty; every golden section is a non-empty array whose
+/// records carry the golden record's keys and types. A rerun at the
+/// golden's own scale and seed (`same_run`) must also have exactly the
+/// golden's sections and record counts, and record i is held to golden
+/// record i; otherwise every record is held to the golden's first.
+std::vector<std::string> schema_problems(const util::JsonValue& golden,
+                                         const util::JsonValue& run,
+                                         bool same_run) {
+  std::vector<std::string> out;
+  if (!run.is_object()) return {"report is not a JSON object"};
+  lacking_keys(golden, run, "report", out);
+  if (!out.empty()) return out;  // nothing below can be read
+  if (run.find("bench")->as_string() != golden.find("bench")->as_string())
+    out.push_back("report names bench " + run.find("bench")->as_string());
+  for (const auto& [key, value] : run.find("provenance")->as_object())
+    if (value.is_string() && value.as_string().empty())
+      out.push_back("provenance." + key + " is empty");
+  lacking_keys(*golden.find("provenance"), *run.find("provenance"),
+               "provenance", out);
 
-TEST_P(BenchGoldenDiff, HeadlineNumbersMatchSnapshotWithinTolerance) {
-  const GoldenSpec& spec = GetParam();
-  const std::string binary = std::string(LLMQ_BIN_DIR) + "/" + spec.binary;
-  if (!file_exists(binary))
-    GTEST_SKIP() << binary << " not built (benches disabled?)";
-
-  const std::string golden_path =
-      std::string(LLMQ_REPO_ROOT) + "/" + spec.golden;
-  const auto golden = parse_file(golden_path);
-  ASSERT_TRUE(golden.has_value())
-      << spec.golden << " missing or unparseable — regenerate with `"
-      << spec.binary << " --scale <s> --seed <n> --json " << spec.golden
-      << "`";
-
-  // Re-run at the snapshot's own scale/seed (read from its envelope, so
-  // regenerating a golden at a new scale needs no test edit).
-  const util::JsonValue* scale = golden->find("scale");
-  const util::JsonValue* seed = golden->find("seed");
-  ASSERT_NE(scale, nullptr);
-  ASSERT_NE(seed, nullptr);
-  char scale_buf[32];
-  std::snprintf(scale_buf, sizeof scale_buf, "%.17g", scale->as_number());
-  const std::string out_path =
-      ::testing::TempDir() + "llmq_golden_rerun_" + spec.binary + ".json";
-  const std::string cmd =
-      binary + " --scale " + scale_buf + " --seed " +
-      std::to_string(static_cast<long long>(seed->as_number())) + " --json " +
-      out_path + " > /dev/null 2>&1";
-  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
-  const auto fresh = parse_file(out_path);
-  ASSERT_TRUE(fresh.has_value()) << "rerun emitted unparseable JSON";
-
-  const util::JsonValue* gsec = golden->find("sections");
-  const util::JsonValue* fsec = fresh->find("sections");
-  ASSERT_NE(gsec, nullptr);
-  ASSERT_NE(fsec, nullptr);
-  const bool compare_wallclock =
-      timing_comparable(*golden) && timing_comparable(*fresh);
-  for (const DiffKey& dk : spec.keys) {
-    if (dk.wallclock && !compare_wallclock) continue;
-    const util::JsonValue* grecs = gsec->find(dk.section);
-    const util::JsonValue* frecs = fsec->find(dk.section);
-    ASSERT_NE(grecs, nullptr) << "golden lacks section " << dk.section;
-    ASSERT_NE(frecs, nullptr) << "rerun lacks section " << dk.section;
-    ASSERT_EQ(grecs->as_array().size(), frecs->as_array().size())
-        << dk.section << " record count changed — regenerate the golden";
-    if (dk.fails == Fails::Ceiling) {
-      std::size_t i = 0;
-      for (const util::JsonValue& rec : frecs->as_array()) {
-        const util::JsonValue* fv = rec.find(dk.key);
-        ASSERT_NE(fv, nullptr) << dk.section << "[" << i << "]." << dk.key;
-        EXPECT_LE(fv->as_number(), dk.tol)
-            << dk.section << "[" << i << "]." << dk.key
-            << " exceeds its ceiling";
-        ++i;
-      }
+  const util::JsonValue& gsecs = *golden.find("sections");
+  const util::JsonValue& rsecs = *run.find("sections");
+  lacking_keys(gsecs, rsecs, "sections", out);
+  if (same_run)
+    for (const auto& [name, records] : rsecs.as_object())
+      if (gsecs.find(name) == nullptr)
+        out.push_back("report has section " + name + ", the golden not");
+  for (const auto& [name, grecs] : gsecs.as_object()) {
+    const util::JsonValue* rrecs = rsecs.find(name);
+    if (rrecs == nullptr || !rrecs->is_array()) continue;  // reported above
+    const auto& want = grecs.as_array();
+    const auto& got = rrecs->as_array();
+    if (want.empty()) {
+      out.push_back("golden section " + name + " is empty");
       continue;
     }
-    const auto check = [&](const std::string& where, double g, double f) {
+    if (got.empty()) out.push_back("section " + name + " is empty");
+    if (same_run && got.size() != want.size())
+      out.push_back("section " + name + " has " + std::to_string(got.size()) +
+                    " records, the golden " + std::to_string(want.size()));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const std::string where = name + "[" + std::to_string(i) + "]";
+      if (!got[i].is_object())
+        out.push_back(where + " is not an object");
+      else
+        lacking_keys(want[same_run && i < want.size() ? i : 0], got[i],
+                     where, out);
+    }
+  }
+  return out;
+}
+
+std::string lines(const std::vector<std::string>& problems) {
+  std::string s;
+  for (const std::string& p : problems) s += "  " + p + "\n";
+  return s;
+}
+
+/// One committed golden, named by its file (BENCH_<name>.json).
+class CommittedGolden : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    const std::string& file = GetParam();
+    golden_ = parse_file(std::string(LLMQ_REPO_ROOT) + "/" + file);
+    ASSERT_TRUE(golden_.has_value()) << file << " is not valid JSON";
+    ASSERT_TRUE(golden_->is_object()) << file;
+    for (const char* key : {"bench", "scale", "seed", "provenance"})
+      ASSERT_NE(golden_->find(key), nullptr) << file << " lacks " << key;
+    ASSERT_NE(golden_->find("sections"), nullptr) << file;
+    ASSERT_TRUE(golden_->find("sections")->is_object()) << file;
+    ASSERT_TRUE(golden_->find("provenance")->is_object()) << file;
+    bench_ = golden_->find("bench")->as_string();
+    // BENCH_<name>.json is the golden of bench_<name>, which it names.
+    const std::string stem = file.substr(0, file.size() - 5);
+    ASSERT_EQ(bench_, "bench_" + stem.substr(6))
+        << file << " names the wrong bench";
+    ASSERT_EQ(diff_keys().count(bench_), 1u)
+        << file << ": give " << bench_
+        << " a diff_keys() entry (empty for a schema-only golden)";
+    if (!std::ifstream(std::string(LLMQ_BIN_DIR) + "/" + bench_).good())
+      GTEST_SKIP() << bench_ << " not built (benches disabled?)";
+  }
+
+  /// The bench's --json report at (scale, seed); nullopt, with a recorded
+  /// failure, when the run fails or writes no parseable JSON.
+  std::optional<util::JsonValue> run(const std::string& scale,
+                                     const std::string& seed) const {
+    const std::string out_path =
+        ::testing::TempDir() + "llmq_golden_" + bench_ + "_" + seed + ".json";
+    const std::string cmd = std::string(LLMQ_BIN_DIR) + "/" + bench_ +
+                            " --scale " + scale + " --seed " + seed +
+                            " --json " + out_path + " > /dev/null 2>&1";
+    std::remove(out_path.c_str());
+    if (std::system(cmd.c_str()) != 0) {
+      ADD_FAILURE() << cmd << " failed";
+      return std::nullopt;
+    }
+    auto doc = parse_file(out_path);
+    if (!doc.has_value()) ADD_FAILURE() << cmd << " wrote no parseable JSON";
+    std::remove(out_path.c_str());
+    return doc;
+  }
+
+  std::optional<util::JsonValue> golden_;
+  std::string bench_;
+};
+
+// Re-run at the snapshot's own scale/seed (read from its envelope, so
+// regenerating a golden at a new scale needs no test edit).
+TEST_P(CommittedGolden, RerunHasGoldenSchemaAndHeadlineNumbers) {
+  char scale[32];
+  std::snprintf(scale, sizeof scale, "%.17g",
+                golden_->find("scale")->as_number());
+  const auto fresh = run(scale, std::to_string(static_cast<long long>(
+                                    golden_->find("seed")->as_number())));
+  ASSERT_TRUE(fresh.has_value());
+  const std::vector<std::string> problems =
+      schema_problems(*golden_, *fresh, /*same_run=*/true);
+  ASSERT_TRUE(problems.empty())
+      << "the rerun departs from " << GetParam() << ":\n"
+      << lines(problems) << "if intentional, regenerate the golden";
+
+  const util::JsonValue& gsec = *golden_->find("sections");
+  const util::JsonValue& fsec = *fresh->find("sections");
+  const bool compare_wallclock =
+      timing_comparable(*golden_) && timing_comparable(*fresh);
+  for (const DiffKey& dk : diff_keys().at(bench_)) {
+    const util::JsonValue* grecs = gsec.find(dk.section);
+    ASSERT_NE(grecs, nullptr) << GetParam() << " lacks section " << dk.section;
+    for (const util::JsonValue& rec : grecs->as_array())
+      ASSERT_NE(rec.find(dk.key), nullptr)
+          << GetParam() << " lacks " << dk.section << "." << dk.key;
+    if (dk.wallclock && !compare_wallclock) continue;
+    // The schema check above matched the rerun's records to these.
+    const auto& golden_recs = grecs->as_array();
+    const auto& fresh_recs = fsec.find(dk.section)->as_array();
+    const auto where = [&](std::size_t i) {
+      return std::string(dk.section) + "[" + std::to_string(i) + "]." + dk.key;
+    };
+    if (dk.fails == Fails::Ceiling) {
+      for (std::size_t i = 0; i < fresh_recs.size(); ++i)
+        EXPECT_LE(fresh_recs[i].find(dk.key)->as_number(), dk.tol)
+            << where(i) << " exceeds its ceiling";
+      continue;
+    }
+    const auto check = [&](const std::string& at, double g, double f) {
       const double allowed =
           dk.relative ? std::max(dk.tol * std::fabs(g), 1e-3) : dk.tol;
       const bool ok = dk.fails == Fails::Below   ? f >= g - allowed
                       : dk.fails == Fails::Above ? f <= g + allowed
                                                  : std::fabs(f - g) <= allowed;
-      EXPECT_TRUE(ok) << where << " = " << f
+      EXPECT_TRUE(ok) << at << " = " << f
                       << " drifted from the committed snapshot's " << g
-                      << " (" << spec.golden
+                      << " (" << GetParam()
                       << "); if intentional, regenerate it";
     };
     double g_logs = 0.0, f_logs = 0.0;
-    const std::size_t n = grecs->as_array().size();
+    const std::size_t n = golden_recs.size();
     for (std::size_t i = 0; i < n; ++i) {
-      const util::JsonValue* gv = grecs->as_array()[i].find(dk.key);
-      const util::JsonValue* fv = frecs->as_array()[i].find(dk.key);
-      ASSERT_NE(gv, nullptr) << dk.section << "[" << i << "]." << dk.key;
-      ASSERT_NE(fv, nullptr) << dk.section << "[" << i << "]." << dk.key;
-      const std::string where =
-          std::string(dk.section) + "[" + std::to_string(i) + "]." + dk.key;
+      const double g = golden_recs[i].find(dk.key)->as_number();
+      const double f = fresh_recs[i].find(dk.key)->as_number();
       if (!dk.geomean) {
-        check(where, gv->as_number(), fv->as_number());
+        check(where(i), g, f);
         continue;
       }
-      ASSERT_GT(gv->as_number(), 0.0) << where;
-      ASSERT_GT(fv->as_number(), 0.0) << where;
-      g_logs += std::log(gv->as_number());
-      f_logs += std::log(fv->as_number());
+      ASSERT_GT(g, 0.0) << where(i);
+      ASSERT_GT(f, 0.0) << where(i);
+      g_logs += std::log(g);
+      f_logs += std::log(f);
     }
     if (dk.geomean && n > 0)
       check(std::string("geomean of ") + dk.section + "[*]." + dk.key,
             std::exp(g_logs / static_cast<double>(n)),
             std::exp(f_logs / static_cast<double>(n)));
   }
-  std::remove(out_path.c_str());
 }
 
-std::string spec_name(const ::testing::TestParamInfo<GoldenSpec>& info) {
-  return info.param.binary;
+// Another scale and seed: the report keeps the golden's shape wherever the
+// bench runs, not only at the snapshot's configuration.
+TEST_P(CommittedGolden, SmallRunHasGoldenSchema) {
+  const auto fresh = run("0.01", "7");
+  ASSERT_TRUE(fresh.has_value());
+  const std::vector<std::string> problems =
+      schema_problems(*golden_, *fresh, /*same_run=*/false);
+  EXPECT_TRUE(problems.empty())
+      << bench_ << " --scale 0.01 --seed 7 departs from " << GetParam()
+      << ":\n"
+      << lines(problems);
 }
 
-INSTANTIATE_TEST_SUITE_P(CommittedGoldens, BenchGoldenDiff,
-                         ::testing::ValuesIn(golden_specs()), spec_name);
+std::string golden_name(const ::testing::TestParamInfo<std::string>& info) {
+  return info.param.substr(0, info.param.size() - 5);  // drop ".json"
+}
+
+INSTANTIATE_TEST_SUITE_P(CommittedGoldens, CommittedGolden,
+                         ::testing::ValuesIn(golden_files()), golden_name);
+
+// A diff_keys() entry whose golden is gone would otherwise pin nothing.
+TEST(CommittedGoldens, EveryDiffKeysEntryHasAGolden) {
+  const std::vector<std::string> files = golden_files();
+  for (const auto& [bench, keys] : diff_keys()) {
+    ASSERT_TRUE(bench.starts_with("bench_")) << bench;
+    const std::string file = "BENCH_" + bench.substr(6) + ".json";
+    EXPECT_NE(std::find(files.begin(), files.end(), file), files.end())
+        << bench << " has a diff_keys() entry but no committed " << file;
+  }
+}
 
 }  // namespace
 }  // namespace llmq

@@ -208,10 +208,6 @@ TEST(Scheduler, RejectsConfigThatNeverDispatches) {
 
 TEST(Scheduler, PolicyNames) {
   EXPECT_EQ(to_string(Policy::Fifo), "FIFO");
-  EXPECT_EQ(policy_from_string("fifo"), Policy::Fifo);
-  EXPECT_EQ(policy_from_string("windowed-ggr"), Policy::WindowedGgr);
-  EXPECT_EQ(policy_from_string("tenant-ggr"), Policy::TenantGgr);
-  EXPECT_FALSE(policy_from_string("nope").has_value());
 }
 
 }  // namespace

@@ -71,24 +71,6 @@ TEST(Table, HeadClamps) {
   EXPECT_EQ(t.head(99).num_rows(), 3u);
 }
 
-TEST(Table, AppendTableSchemaChecked) {
-  auto t = make_test_table();
-  auto u = make_test_table();
-  t.append_table(u);
-  EXPECT_EQ(t.num_rows(), 6u);
-  Table other(Schema::of_names({"different"}));
-  EXPECT_THROW(t.append_table(other), std::invalid_argument);
-}
-
-TEST(Table, GroupByValueFirstSeenOrder) {
-  const auto t = make_test_table();
-  const auto groups = t.group_by_value(1);  // name
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].value, "ann");
-  EXPECT_EQ(groups[0].rows, (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(groups[1].value, "bob");
-}
-
 TEST(Table, SortedRowOrderLexicographic) {
   const auto t = make_test_table();
   // Sort by (city, name): berlin/ann, berlin/bob, munich/ann.
@@ -102,7 +84,6 @@ TEST(Table, SortedRowOrderLexicographic) {
 TEST(Table, EmptyTableBasics) {
   Table t(Schema::of_names({"a"}));
   EXPECT_EQ(t.num_rows(), 0u);
-  EXPECT_TRUE(t.group_by_value(0).empty());
   EXPECT_TRUE(t.sorted_row_order({0}).empty());
 }
 
@@ -118,12 +99,6 @@ TEST(Value, ParseDouble) {
   EXPECT_DOUBLE_EQ(parse_double("2.5").value(), 2.5);
   EXPECT_DOUBLE_EQ(parse_double("-1e3").value(), -1000.0);
   EXPECT_FALSE(parse_double("1.2.3").has_value());
-}
-
-TEST(Value, ParseBool) {
-  EXPECT_EQ(parse_bool("True"), true);
-  EXPECT_EQ(parse_bool("no"), false);
-  EXPECT_FALSE(parse_bool("maybe").has_value());
 }
 
 }  // namespace

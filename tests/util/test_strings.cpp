@@ -39,8 +39,6 @@ TEST(Strings, Trim) {
   EXPECT_EQ(trim("x"), "x");
 }
 
-TEST(Strings, ToLower) { EXPECT_EQ(to_lower("MiXeD 123"), "mixed 123"); }
-
 TEST(Strings, StartsWithAndContains) {
   EXPECT_TRUE(starts_with("foobar", "foo"));
   EXPECT_FALSE(starts_with("fo", "foo"));
@@ -51,13 +49,6 @@ TEST(Strings, StartsWithAndContains) {
 TEST(Strings, Fmt) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(2.0, 0), "2");
-}
-
-TEST(Strings, WithCommas) {
-  EXPECT_EQ(with_commas(0), "0");
-  EXPECT_EQ(with_commas(999), "999");
-  EXPECT_EQ(with_commas(1000), "1,000");
-  EXPECT_EQ(with_commas(12345678), "12,345,678");
 }
 
 }  // namespace
