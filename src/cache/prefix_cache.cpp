@@ -39,15 +39,23 @@ CacheStats& CacheStats::operator-=(const CacheStats& o) {
 PrefixCache::PrefixCache(CacheConfig config)
     : config_(config),
       tree_(config.block_size),
-      pool_(config.capacity_blocks) {
+      cap_{config.capacity_blocks, config.host_capacity_blocks,
+           config.disk_capacity_blocks} {
   if (config_.tiers < 1 || config_.tiers > 3)
     throw std::invalid_argument("PrefixCache: tiers must be 1, 2 or 3, got " +
                                 std::to_string(config_.tiers));
 }
 
-std::size_t PrefixCache::tier_resident_blocks(std::uint8_t tier) const {
-  if (tier == 0) return pool_.used();
-  return tier == 1 ? host_used_ : disk_used_;
+void PrefixCache::allocate_gpu(std::size_t n) {
+  if (n > gpu_free())
+    throw std::runtime_error("PrefixCache: GPU tier out of blocks");
+  used_[0] += n;
+}
+
+void PrefixCache::release_blocks(std::uint8_t tier, std::size_t n) {
+  if (n > used_[tier])
+    throw std::logic_error("PrefixCache: tier ledger underflow");
+  used_[tier] -= n;
 }
 
 std::vector<NodeId> PrefixCache::acquire_path() {
@@ -69,16 +77,12 @@ CacheLease PrefixCache::pinning_match(std::span<const TokenId> prompt) {
   tree_.touch(lease.path, clock_);
   tree_.pin(lease.path);
   outstanding_pins_ += lease.path.size();
-  if (tiered()) {
-    // Promotion-on-hit: a lower-tier match is pulled back to GPU before
-    // the lease hands it out — pinned blocks are always GPU-resident,
-    // and the engine prices the transfer the lease reports into TTFT.
-    std::size_t host = 0, disk = 0;
-    if (promote_pinned_path(lease.path, host, disk, /*cls=*/0))
-      lease.cached_tokens = lease.path.size() * config_.block_size;
-    lease.promoted_host_blocks = host;
-    lease.promoted_disk_blocks = disk;
-  }
+  // Promotion-on-hit: a lower-tier match is pulled back to GPU before the
+  // lease hands it out — pinned blocks are always GPU-resident, and the
+  // engine prices the transfer the lease reports into TTFT.
+  if (promote_pinned_path(lease.path, lease.promoted_host_blocks,
+                          lease.promoted_disk_blocks, /*cls=*/0))
+    lease.cached_tokens = lease.path.size() * config_.block_size;
   return lease;
 }
 
@@ -124,24 +128,23 @@ std::size_t PrefixCache::admit(std::span<const TokenId> prompt,
                                CacheLease& lease) {
   if (!config_.enabled) return 0;
   ++clock_;
-  if (tiered()) return admit_tiered(prompt, lease);
-  const std::size_t full_blocks = prompt.size() / config_.block_size;
   const std::size_t path_before = lease.path.size();
-  std::size_t need = full_blocks > path_before ? full_blocks - path_before : 0;
-  // Make room: evict LRU unpinned leaves; accept a shorter insert if the
-  // pool cannot satisfy the full request (everything pinned).
-  if (!pool_.unlimited() && need > pool_.free()) {
-    evict_tier(0, need - pool_.free());
-    need = std::min(need, pool_.free());
-  }
+  // Drop the lookup lease and re-match fresh: another request may have
+  // grown (or demotion may have cooled) the matched prefix since, and an
+  // insert sized from the stale lease would free room for blocks that
+  // are already resident.
   tree_.unpin(lease.path);
   outstanding_pins_ -= lease.path.size();
   std::vector<NodeId> path = acquire_path();
-  const std::size_t new_blocks = tree_.insert_into(prompt, clock_, need, path);
-  pool_.allocate(new_blocks);
-  stats_.inserted_blocks += new_blocks;
+  tree_.match_into(prompt, path);
+  tree_.touch(path, clock_);
   tree_.pin(path);
   outstanding_pins_ += path.size();
+  // Prefill just recomputed every prompt token on-GPU, so the match's
+  // refresh-promotion is free, not a priced transfer.
+  const std::size_t new_blocks = insert_past_match(prompt, path);
+  tree_.pin(std::span<const NodeId>(path).last(new_blocks));
+  outstanding_pins_ += new_blocks;
   lease.cached_tokens = path.size() * config_.block_size;
   recycle_path(std::move(lease.path));
   lease.path = std::move(path);
@@ -149,69 +152,55 @@ std::size_t PrefixCache::admit(std::span<const TokenId> prompt,
   return new_blocks;
 }
 
-std::size_t PrefixCache::evict(std::size_t n) {
-  // Tiered: the engine wants GPU headroom; cold blocks step down a tier
-  // and stay servable instead of dying. Bottom-tier overflow is
-  // destroyed inside the rebalance (that is where evicted_blocks grows).
-  return tiered() ? demote_gpu(n) : evict_tier(0, n);
+std::size_t PrefixCache::insert_past_match(std::span<const TokenId> tokens,
+                                           std::vector<NodeId>& path) {
+  // Refresh-promote the match BEFORE inserting new children: inserting
+  // GPU-born children under a demoted (lower-tier) parent would break
+  // tier monotonicity, and pinning a lower-tier node breaks pinned =>
+  // GPU-resident.
+  std::size_t host = 0, disk = 0;
+  if (promote_pinned_path(path, host, disk, /*cls=*/1)) return 0;
+  const std::size_t full_blocks = tokens.size() / config_.block_size;
+  if (full_blocks <= path.size()) return 0;
+  // The pinned match survives make_gpu_room, so the new blocks hang under
+  // its end. Accept a shorter insert when the GPU cannot free the full
+  // request (everything left is pinned).
+  const std::size_t matched = path.size();
+  make_gpu_room(full_blocks - matched);
+  const std::size_t new_blocks = tree_.extend_into(
+      tokens, clock_, std::min(full_blocks - matched, gpu_free()), path);
+  allocate_gpu(new_blocks);
+  stats_.inserted_blocks += new_blocks;
+  return new_blocks;
 }
 
-std::size_t PrefixCache::evict_tier(std::uint8_t tier, std::size_t n) {
-  const std::size_t evicted =
-      tree_.take_victims(RadixTree::VictimKind::Evict, tier, n);
-  if (evicted == 0) return 0;
-  if (tier == 0)
-    pool_.release(evicted);
-  else
-    (tier == 1 ? host_used_ : disk_used_) -= evicted;
-  stats_.evicted_blocks += evicted;
-  trace(EventKind::CacheEvict, evicted, tier, 0);
-  return evicted;
-}
+std::size_t PrefixCache::evict(std::size_t n) { return free_blocks(0, n); }
 
-std::size_t PrefixCache::demote_tier(std::uint8_t tier, std::size_t n) {
-  const std::size_t moved =
-      tree_.take_victims(RadixTree::VictimKind::Demote, tier, n);
-  if (moved == 0) return 0;
-  if (tier == 0) {
-    pool_.release(moved);
-    host_used_ += moved;
-  } else {
-    host_used_ -= moved;
-    disk_used_ += moved;
+std::size_t PrefixCache::free_blocks(std::uint8_t tier, std::size_t n) {
+  const std::uint8_t below = tier + 1;
+  const bool bottom = below == config_.tiers;
+  const std::size_t taken = tree_.take_victims(
+      bottom ? RadixTree::VictimKind::Evict : RadixTree::VictimKind::Demote,
+      tier, n);
+  if (taken == 0) return 0;
+  release_blocks(tier, taken);
+  if (bottom) {
+    stats_.evicted_blocks += taken;
+    trace(EventKind::CacheEvict, taken, tier, 0);
+    return taken;
   }
-  stats_.demoted_blocks += moved;
-  trace(EventKind::TierDemote, moved, tier + 1, tier);
-  return moved;
-}
-
-std::size_t PrefixCache::demote_gpu(std::size_t n) {
-  const std::size_t demoted = demote_tier(0, n);
-  if (demoted > 0) rebalance_lower_tiers();
-  return demoted;
+  used_[below] += taken;
+  stats_.demoted_blocks += taken;
+  trace(EventKind::TierDemote, taken, below, tier);
+  // Host and disk blocks are never pinned (pinned => GPU), so this
+  // always clears the tier below's full overflow.
+  if (cap_[below] > 0 && used_[below] > cap_[below])
+    free_blocks(below, used_[below] - cap_[below]);
+  return taken;
 }
 
 void PrefixCache::make_gpu_room(std::size_t need) {
-  if (pool_.unlimited() || need <= pool_.free()) return;
-  demote_gpu(need - pool_.free());
-}
-
-void PrefixCache::rebalance_lower_tiers() {
-  if (config_.host_capacity_blocks > 0 &&
-      host_used_ > config_.host_capacity_blocks) {
-    const std::size_t excess = host_used_ - config_.host_capacity_blocks;
-    // 3-tier: push host overflow down to disk, oldest first.
-    // Host blocks are never pinned (pinned => GPU), so this always
-    // clears the full excess. 2-tier: host IS the bottom tier, so the
-    // overflow dies for real.
-    if (config_.tiers >= 3)
-      demote_tier(1, excess);
-    else
-      evict_tier(1, excess);
-  }
-  if (config_.tiers >= 3 && config_.disk_capacity_blocks > 0 &&
-      disk_used_ > config_.disk_capacity_blocks)
-    evict_tier(2, disk_used_ - config_.disk_capacity_blocks);
+  if (need > gpu_free()) free_blocks(0, need - gpu_free());
 }
 
 bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
@@ -219,6 +208,7 @@ bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
                                       std::uint8_t cls) {
   host = 0;
   disk = 0;
+  if (!tiered()) return false;
   tree_.count_tiered(path, host, disk);
   const std::size_t lower = host + disk;
   if (lower == 0) return false;
@@ -227,11 +217,11 @@ bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
   // here, so the counts above stay exact for the untruncated path.
   make_gpu_room(lower);
   bool truncated = false;
-  if (!pool_.unlimited() && pool_.free() < lower) {
-    // Pin-saturated GPU pool: keep the longest prefix whose lower-tier
-    // blocks fit, unpin and drop the tail — the request recomputes those
-    // tokens instead of reading them back. Recount over the kept prefix.
-    const std::size_t free = pool_.free();
+  if (gpu_free() < lower) {
+    // Pin-saturated GPU: keep the longest prefix whose lower-tier blocks
+    // fit, unpin and drop the tail — the request recomputes those tokens
+    // instead of reading them back. Recount over the kept prefix.
+    const std::size_t free = gpu_free();
     host = 0;
     disk = 0;
     std::size_t keep = 0;
@@ -250,60 +240,13 @@ bool PrefixCache::promote_pinned_path(std::vector<NodeId>& path,
   }
   if (host + disk > 0) {
     tree_.promote_path(path);
-    pool_.allocate(host + disk);
-    host_used_ -= host;
-    disk_used_ -= disk;
+    allocate_gpu(host + disk);
+    release_blocks(1, host);
+    release_blocks(2, disk);
     stats_.promoted_blocks += host + disk;
     trace(EventKind::TierPromote, host, disk, path.size(), cls);
   }
   return truncated;
-}
-
-std::size_t PrefixCache::admit_tiered(std::span<const TokenId> prompt,
-                                      CacheLease& lease) {
-  const std::size_t path_before = lease.path.size();
-  // Drop the lookup lease and re-match fresh: another request may have
-  // grown (or demotion may have cooled) the matched prefix since.
-  tree_.unpin(lease.path);
-  outstanding_pins_ -= lease.path.size();
-  std::vector<NodeId> path = acquire_path();
-  tree_.match_into(prompt, path);
-  tree_.touch(path, clock_);
-  tree_.pin(path);
-  outstanding_pins_ += path.size();
-  // Refresh-promote the matched prefix BEFORE inserting new children:
-  // inserting GPU-born children under a demoted (lower-tier) parent
-  // would break tier monotonicity, and pinning a lower-tier node breaks
-  // pinned => GPU-resident. Prefill just recomputed every prompt token
-  // on-GPU, so this promotion is a free refresh (cls=1), not a priced
-  // transfer.
-  std::size_t host = 0, disk = 0;
-  const bool truncated = promote_pinned_path(path, host, disk, /*cls=*/1);
-  std::size_t new_blocks = 0;
-  if (!truncated) {
-    const std::size_t full_blocks = prompt.size() / config_.block_size;
-    std::size_t need =
-        full_blocks > path.size() ? full_blocks - path.size() : 0;
-    if (need > 0) {
-      make_gpu_room(need);
-      if (!pool_.unlimited()) need = std::min(need, pool_.free());
-      tree_.unpin(path);
-      outstanding_pins_ -= path.size();
-      std::vector<NodeId> full_path = acquire_path();
-      new_blocks = tree_.insert_into(prompt, clock_, need, full_path);
-      pool_.allocate(new_blocks);
-      stats_.inserted_blocks += new_blocks;
-      tree_.pin(full_path);
-      outstanding_pins_ += full_path.size();
-      recycle_path(std::move(path));
-      path = std::move(full_path);
-    }
-  }
-  lease.cached_tokens = path.size() * config_.block_size;
-  recycle_path(std::move(lease.path));
-  lease.path = std::move(path);
-  trace(EventKind::CacheAdmit, new_blocks, lease.path.size(), path_before);
-  return new_blocks;
 }
 
 std::size_t PrefixCache::admit_migrated(std::span<const TokenId> tokens) {
@@ -312,37 +255,15 @@ std::size_t PrefixCache::admit_migrated(std::span<const TokenId> tokens) {
   std::vector<NodeId> path = acquire_path();
   tree_.match_into(tokens, path);
   tree_.touch(path, clock_);
-  if (tiered()) {
-    // Same monotonicity hazard as admit(): refresh-promote the matched
-    // prefix before hanging new GPU blocks under it. The migrated bytes
-    // landed in GPU memory either way (cls=1: not a priced transfer —
-    // the fleet already charged the inter-replica copy).
-    tree_.pin(path);
-    outstanding_pins_ += path.size();
-    std::size_t host = 0, disk = 0;
-    const bool truncated = promote_pinned_path(path, host, disk, /*cls=*/1);
-    tree_.unpin(path);
-    outstanding_pins_ -= path.size();
-    if (truncated) {  // pin-saturated pool: nothing more fits
-      recycle_path(std::move(path));
-      return 0;
-    }
-  }
-  const std::size_t full_blocks = tokens.size() / config_.block_size;
-  std::size_t need = full_blocks > path.size() ? full_blocks - path.size() : 0;
-  std::size_t new_blocks = 0;
-  if (need > 0) {
-    if (tiered())
-      make_gpu_room(need);
-    else if (!pool_.unlimited() && need > pool_.free())
-      evict_tier(0, need - pool_.free());
-    if (!pool_.unlimited()) need = std::min(need, pool_.free());
-    std::vector<NodeId> full_path = acquire_path();
-    new_blocks = tree_.insert_into(tokens, clock_, need, full_path);
-    pool_.allocate(new_blocks);
-    stats_.inserted_blocks += new_blocks;
-    recycle_path(std::move(full_path));
-  }
+  tree_.pin(path);
+  outstanding_pins_ += path.size();
+  // The migrated bytes landed in GPU memory either way, so the match's
+  // refresh-promotion is not a priced transfer: the fleet already charged
+  // the inter-replica copy.
+  const std::size_t new_blocks = insert_past_match(tokens, path);
+  const std::size_t matched = path.size() - new_blocks;
+  tree_.unpin(std::span<const NodeId>(path).first(matched));
+  outstanding_pins_ -= matched;
   recycle_path(std::move(path));
   // No CacheLookup/CacheAdmit events and no hit credit: migrated
   // prefixes must never read as prefix hits (the fleet's PrefixMigrate
@@ -426,34 +347,22 @@ std::string PrefixCache::check_invariants() const {
   if (!tree.empty()) return "tree: " + tree;
   const std::size_t resident = tree_.num_blocks();
   const std::uint64_t pins = tree_.total_ref_count();
-  const std::size_t gpu = tree_.tier_blocks(0);
-  const std::size_t host = tree_.tier_blocks(1);
-  const std::size_t disk = tree_.tier_blocks(2);
-  // Tier ledger: every resident block lives in exactly one tier, the
-  // per-tier walked totals match the pool/counter accounting, and a flat
-  // cache never grows lower-tier blocks.
-  if (gpu + host + disk != resident)
-    return "tier totals do not sum to resident blocks";
-  if (gpu != pool_.used())
-    return "GPU tier ledger out of sync with pool usage";
-  if (host != host_used_)
-    return "host tier ledger out of sync with host_used_";
-  if (disk != disk_used_)
-    return "disk tier ledger out of sync with disk_used_";
-  if (!tiered() && host + disk > 0)
-    return "flat cache holds lower-tier blocks";
-  if (config_.tiers < 3 && disk > 0)
-    return "disk blocks without a disk tier";
-  if (tiered() && config_.host_capacity_blocks > 0 &&
-      host > config_.host_capacity_blocks)
-    return "host tier over capacity";
-  if (tiered() && config_.disk_capacity_blocks > 0 &&
-      disk > config_.disk_capacity_blocks)
-    return "disk tier over capacity";
+  // Tier ledger: every resident block lives in exactly one tier, each
+  // tier's walked total matches its ledger and fits its capacity, and no
+  // block lives below the bottom tier.
+  std::size_t sum = 0;
+  for (std::uint8_t tier = 0; tier < used_.size(); ++tier) {
+    const std::size_t walked = tree_.tier_blocks(tier);
+    const std::string name = "tier " + std::to_string(tier);
+    if (walked != used_[tier]) return name + " ledger out of sync with the tree";
+    if (tier >= config_.tiers && walked > 0)
+      return name + " holds blocks below the bottom tier";
+    if (cap_[tier] > 0 && walked > cap_[tier]) return name + " over capacity";
+    sum += walked;
+  }
+  if (sum != resident) return "tier totals do not sum to resident blocks";
   if (stats_.inserted_blocks - stats_.evicted_blocks != resident)
     return "inserted - evicted does not equal resident blocks";
-  if (!pool_.unlimited() && pool_.used() > pool_.capacity())
-    return "pool over capacity";
   if (pins != outstanding_pins_)
     return "tree pin count out of sync with outstanding leases";
   return std::string();

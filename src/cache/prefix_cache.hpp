@@ -1,8 +1,8 @@
 #pragma once
 // Prompt prefix KV cache (paper §2 "Prompt KV cache").
 //
-// Combines the radix tree with block-pool capacity and LRU eviction, and
-// keeps the hit accounting the evaluation reports as PHR. The serving
+// Combines the radix tree with per-tier block capacity and LRU eviction,
+// and keeps the hit accounting the evaluation reports as PHR. The serving
 // engine calls lookup() when a request is admitted (pinning the matched
 // prefix), admit() after prefill (inserting newly computed blocks), and
 // release() when the request completes.
@@ -21,12 +21,12 @@
 // steady-state operation allocates — tiered included (bench_micro's
 // alloc_steadystate asserts it).
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "cache/block_pool.hpp"
 #include "cache/radix_tree.hpp"
 #include "obs/trace.hpp"
 
@@ -36,11 +36,11 @@ struct CacheConfig {
   std::size_t block_size = 16;      // tokens per KV block (vLLM default)
   std::size_t capacity_blocks = 0;  // GPU-tier capacity; 0 = unlimited
   bool enabled = true;              // false = the paper's "No Cache" arm
-  /// Tier count: 1 = flat GPU-only pool (the pre-tier behavior, bit-
-  /// exact), 2 = GPU + host DRAM, 3 = GPU + host + disk. With tiers > 1
-  /// GPU pressure demotes cold blocks down instead of destroying them,
-  /// and a lower-tier hit is promoted back before the lease pins it
-  /// (DESIGN.md §13). Any other value makes PrefixCache throw
+  /// Tier count: 1 = the flat GPU pool, 2 = GPU + host DRAM, 3 = GPU +
+  /// host + disk. Pressure on a tier demotes its cold blocks one tier
+  /// down, and only the bottom tier (the GPU itself when tiers == 1)
+  /// destroys them; a lower-tier hit is promoted back before the lease
+  /// pins it (DESIGN.md §13). Any other value makes PrefixCache throw
   /// std::invalid_argument.
   std::size_t tiers = 1;
   /// Capacity of the host / disk tiers in blocks; 0 = unlimited. Only
@@ -124,9 +124,11 @@ class PrefixCache {
   std::size_t resident_blocks() const { return tree_.num_blocks(); }
   /// Blocks resident in GPU memory only — what engine admission budgets
   /// against. Equal to resident_blocks() on a flat cache.
-  std::size_t gpu_resident_blocks() const { return pool_.used(); }
+  std::size_t gpu_resident_blocks() const { return used_[0]; }
   /// Blocks resident at one tier (0 = GPU, 1 = host, 2 = disk).
-  std::size_t tier_resident_blocks(std::uint8_t tier) const;
+  std::size_t tier_resident_blocks(std::uint8_t tier) const {
+    return used_[tier];
+  }
   /// Blocks currently pinned by outstanding leases (gauge sampling).
   std::size_t pinned_blocks() const { return tree_.pinned_blocks(); }
 
@@ -167,10 +169,12 @@ class PrefixCache {
   /// cache everything lands in gpu_tokens (total == peek()).
   TierPeek peek_tiers(std::span<const TokenId> prompt) const;
 
-  /// After prefill: insert the prompt's full blocks, evicting LRU blocks
-  /// as needed. Under memory pressure only the longest admissible prefix
-  /// is kept (prefix-closed property preserved). Re-pins the lease to
-  /// cover the full inserted path. Returns blocks newly inserted.
+  /// After prefill: drop the lease, re-match the prompt (another request
+  /// may have cached more of it since the lookup), then insert the
+  /// remaining full blocks GPU-resident, freeing LRU blocks as needed.
+  /// Under memory pressure only the longest admissible prefix is kept
+  /// (prefix-closed property preserved). Re-pins the lease to cover the
+  /// full inserted path. Returns blocks newly inserted.
   std::size_t admit(std::span<const TokenId> prompt, CacheLease& lease);
 
   /// Request finished: unpin its path.
@@ -186,11 +190,10 @@ class PrefixCache {
   void cancel_lookup(CacheLease& lease, std::size_t prompt_tokens);
 
   /// Free up to `n` GPU blocks for the serving engine, which owns the
-  /// global KV budget across cached and per-request private blocks.
-  /// Flat cache: LRU leaves are destroyed. Tiered cache: the same LRU
-  /// victims are demoted to the host tier instead (cascading host->disk
-  /// and finally destroying bottom-tier LRU leaves as capacities fill).
-  /// Returns GPU blocks actually freed.
+  /// global KV budget across cached and per-request private blocks: the
+  /// LRU unpinned leaves are demoted to the host tier (cascading
+  /// host->disk as capacities fill), or destroyed on a flat cache, where
+  /// the GPU is the bottom tier. Returns GPU blocks actually freed.
   std::size_t evict(std::size_t n);
 
   /// Insert a migrated prefix (fleet warm-up: a donor replica streamed
@@ -221,9 +224,10 @@ class PrefixCache {
 
   /// Property-test self-check: the radix tree's structural invariants
   /// (RadixTree::check_invariants) plus the cache-level accounting that
-  /// ties tree, pool, and stats together — resident blocks equal pool
-  /// usage and equal inserted minus evicted, and the tree's total pin
-  /// count equals the pin edges this cache handed out through leases
+  /// ties tree, tier ledger, and stats together — each tier's walked
+  /// blocks equal its ledger and fit its capacity, resident blocks equal
+  /// inserted minus evicted, and the tree's total pin count equals the
+  /// pin edges this cache handed out through leases
   /// (lookup/resume_lookup/admit pin, release/cancel_lookup unpin). The
   /// pin ledger is what makes "no pinned block is ever evicted" a walked
   /// invariant: eviction refuses pinned nodes (RadixTree::remove_node
@@ -246,33 +250,41 @@ class PrefixCache {
 
   CacheLease pinning_match(std::span<const TokenId> prompt);
 
-  /// Destroy up to `n` LRU unpinned leaves of `tier` (0 on a flat cache,
-  /// the bottom tier on a tiered one) and book them: tier ledger,
-  /// evicted_blocks, CacheEvict. Returns blocks destroyed.
-  std::size_t evict_tier(std::uint8_t tier, std::size_t n);
-  /// Demote up to `n` LRU unpinned blocks from `tier` to `tier + 1` and
-  /// book them: tier ledgers, demoted_blocks, TierDemote.
-  std::size_t demote_tier(std::uint8_t tier, std::size_t n);
-  /// Demote up to `n` GPU-LRU blocks to host, then rebalance host/disk to
-  /// capacity. Returns GPU blocks freed (fewer when everything left is
-  /// pinned).
-  std::size_t demote_gpu(std::size_t n);
-  /// Demote until the GPU pool has `need` free blocks (best effort).
+  /// The one rule that frees blocks: take up to `n` LRU unpinned blocks
+  /// of `tier` and book them (tier ledger, stats, trace). At the bottom
+  /// tier they are destroyed (evicted_blocks, CacheEvict); at any other
+  /// tier they move one tier down (demoted_blocks, TierDemote), and what
+  /// overflows the tier below is freed from it in turn. Returns the
+  /// blocks that left `tier` (fewer when everything left is pinned).
+  std::size_t free_blocks(std::uint8_t tier, std::size_t n);
+  /// Free GPU blocks until `need` are free (best effort).
   void make_gpu_room(std::size_t need);
-  /// Push host overflow to disk (3-tier) or destroy bottom-tier LRU
-  /// leaves so host/disk stay within their capacities.
-  void rebalance_lower_tiers();
+  /// The insert behind admit() and admit_migrated(): `path` is the pinned
+  /// full match of `tokens`. Refresh-promotes it (cls=1), frees GPU room
+  /// while it stays pinned (so that can neither evict it nor demote it
+  /// under its new children), and appends the blocks past it to `path`,
+  /// GPU-resident and unpinned. Returns the blocks inserted: 0 when the
+  /// promotion dropped a pin-saturated tail, fewer than missing when
+  /// everything left to free is pinned.
+  std::size_t insert_past_match(std::span<const TokenId> tokens,
+                                std::vector<NodeId>& path);
+  /// Free GPU blocks; SIZE_MAX when the GPU tier is unlimited.
+  std::size_t gpu_free() const {
+    return cap_[0] == 0 ? SIZE_MAX : cap_[0] - used_[0];
+  }
+  /// Ledger guards: book `n` blocks into the GPU tier (throws
+  /// std::runtime_error past its capacity), and take `n` out of `tier`
+  /// (throws std::logic_error when it holds fewer).
+  void allocate_gpu(std::size_t n);
+  void release_blocks(std::uint8_t tier, std::size_t n);
   /// Promote every lower-tier node of the pinned root-down `path` to
-  /// GPU, demoting cold blocks for room. If the pool is pin-saturated,
-  /// unpins and drops the non-fitting tail (returns true). `host`/`disk`
-  /// receive the blocks promoted from each tier; `cls` tags the
-  /// TierPromote event (0 = priced transfer, 1 = recompute refresh).
+  /// GPU, demoting cold blocks for room; a no-op on one tier. If the GPU
+  /// is pin-saturated, unpins and drops the non-fitting tail (returns
+  /// true). `host`/`disk` receive the blocks promoted from each tier;
+  /// `cls` tags the TierPromote event (0 = priced transfer, 1 =
+  /// recompute refresh).
   bool promote_pinned_path(std::vector<NodeId>& path, std::size_t& host,
                            std::size_t& disk, std::uint8_t cls);
-  /// Tiered admit(): refresh-promote the matched prefix, then insert the
-  /// remaining new blocks GPU-resident.
-  std::size_t admit_tiered(std::span<const TokenId> prompt,
-                           CacheLease& lease);
 
   /// Emission helper: one branch when tracing is off, no allocation.
   void trace(EventKind kind, std::uint64_t a, std::uint64_t b,
@@ -284,11 +296,12 @@ class PrefixCache {
 
   CacheConfig config_;
   RadixTree tree_;
-  BlockPool pool_;  // the GPU tier: pool_.used() == GPU-resident blocks
-  /// Blocks resident at the host / disk tiers (both stay 0 on a flat
-  /// cache).
-  std::size_t host_used_ = 0;
-  std::size_t disk_used_ = 0;
+  /// Tier ledger (0 = GPU, 1 = host, 2 = disk): blocks resident at each
+  /// tier, and its capacity (0 = unlimited). Tiers past config_.tiers stay
+  /// empty. Only the GPU capacity is hard; a demotion may overfill the
+  /// tier below until free_blocks drains it.
+  std::array<std::size_t, 3> used_{};
+  std::array<std::size_t, 3> cap_{};
   CacheStats stats_;
   std::uint64_t clock_ = 0;
   /// Outstanding (lease, node) pin edges — incremented when a lease pins

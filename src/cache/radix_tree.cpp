@@ -223,6 +223,22 @@ std::size_t RadixTree::insert_into(std::span<const TokenId> tokens,
   return new_blocks;
 }
 
+std::size_t RadixTree::extend_into(std::span<const TokenId> tokens,
+                                   std::uint64_t now,
+                                   std::size_t max_new_blocks,
+                                   std::vector<NodeId>& path) {
+  NodeId cur = path.empty() ? 0 : path.back();
+  std::size_t offset = path.size() * block_size_;
+  std::size_t new_blocks = 0;
+  while (new_blocks < max_new_blocks && offset + block_size_ <= tokens.size()) {
+    cur = add_child(cur, tokens.subspan(offset, block_size_), now);
+    path.push_back(cur);
+    offset += block_size_;
+    ++new_blocks;
+  }
+  return new_blocks;
+}
+
 void RadixTree::touch(std::span<const NodeId> path, std::uint64_t now) {
   for (NodeId id : path) stamp(id, now);
 }

@@ -101,6 +101,15 @@ class RadixTree {
                           std::size_t max_new_blocks,
                           std::vector<NodeId>& path);
 
+  /// insert_into() for a caller that already holds the match: `path` must
+  /// be `tokens`'s full match (match_into), still resident. Appends nodes
+  /// for the following full blocks, at most `max_new_blocks`, born at
+  /// `now`, without walking the matched prefix again. Returns nodes
+  /// created.
+  std::size_t extend_into(std::span<const TokenId> tokens, std::uint64_t now,
+                          std::size_t max_new_blocks,
+                          std::vector<NodeId>& path);
+
   /// Bump recency of a path (cache read).
   void touch(std::span<const NodeId> path, std::uint64_t now);
 

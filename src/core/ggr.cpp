@@ -212,22 +212,15 @@ class GgrSolver {
   }
 
   /// Early-stop fallback (§4.2.2): fixed stats-ranked field order +
-  /// lexicographic row sort; or passthrough when stats_fallback is off.
+  /// lexicographic row sort.
   NodeResult fallback(const std::vector<std::uint32_t>& rows,
                       const std::vector<std::uint32_t>& cols) {
     ++counters_.fallbacks;
     NodeResult res;
-    std::vector<std::size_t> row_order;
-    std::vector<std::size_t> field_order;
-    if (opts_.stats_fallback) {
-      SubOrdering sub = stats_fixed_subordering(
-          t_, rows, cols, opts_.use_fds ? &closures_ : nullptr);
-      row_order = std::move(sub.row_order);
-      field_order = std::move(sub.field_order);
-    } else {
-      row_order.assign(rows.begin(), rows.end());
-      field_order.assign(cols.begin(), cols.end());
-    }
+    const SubOrdering sub = stats_fixed_subordering(
+        t_, rows, cols, opts_.use_fds ? &closures_ : nullptr);
+    const std::vector<std::size_t>& row_order = sub.row_order;
+    const std::vector<std::size_t>& field_order = sub.field_order;
     // Exact positional PHC of this fixed sub-ordering (cheap single pass).
     for (std::size_t i = 1; i < row_order.size(); ++i) {
       for (std::size_t f : field_order) {

@@ -51,11 +51,6 @@ struct GgrOptions {
   /// Square FD-inferred column lengths inside HITCOUNT (PHC units) rather
   /// than the literal unsquared average of Algorithm 1 line 6.
   bool square_inferred_lengths = true;
-
-  /// On early stop, order the remaining sub-table by the stats-ranked
-  /// fixed field ordering + lexicographic row sort (paper §4.2.2). When
-  /// false, the sub-table is emitted in its incoming order (ablation).
-  bool stats_fallback = true;
 };
 
 struct GgrCounters {

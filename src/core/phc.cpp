@@ -16,22 +16,13 @@ CellLengths::CellLengths(const table::Table& t, LengthMeasure measure)
   std::unordered_map<std::string_view, double> memo;
   for (std::size_t c = 0; c < t.num_cols(); ++c) {
     for (std::size_t r = 0; r < t.num_rows(); ++r) {
-      const std::string& v = t.cell(r, c);
-      double l = 0.0;
-      switch (measure) {
-        case LengthMeasure::Tokens: {
-          auto it = memo.find(v);
-          if (it == memo.end())
-            it = memo.emplace(v, static_cast<double>(tok.count(v))).first;
-          l = it->second;
-          break;
-        }
-        case LengthMeasure::Chars:
-          l = static_cast<double>(v.size());
-          break;
-        case LengthMeasure::Unit:
-          l = 1.0;
-          break;
+      double l = 1.0;
+      if (measure == LengthMeasure::Tokens) {
+        const std::string& v = t.cell(r, c);
+        auto it = memo.find(v);
+        if (it == memo.end())
+          it = memo.emplace(v, static_cast<double>(tok.count(v))).first;
+        l = it->second;
       }
       len_[r * n_cols_ + c] = l;
     }
@@ -41,8 +32,7 @@ CellLengths::CellLengths(const table::Table& t, LengthMeasure measure)
 namespace {
 
 PhcBreakdown evaluate(const table::Table& t, const CellLengths& lengths,
-                      const Ordering& ordering, MatchMode mode,
-                      bool want_detail) {
+                      const Ordering& ordering, bool want_detail) {
   PhcBreakdown out;
   const std::size_t n = ordering.num_rows();
   const std::size_t m = t.num_cols();
@@ -61,7 +51,7 @@ PhcBreakdown evaluate(const table::Table& t, const CellLengths& lengths,
     for (std::size_t f = 0; f < m; ++f) {
       const std::size_t col = fields[f];
       const std::size_t prev_col = prev_fields[f];
-      if (mode == MatchMode::FieldAndValue && col != prev_col) break;
+      if (col != prev_col) break;
       if (t.cell(row, col) != t.cell(prev_row, prev_col)) break;
       hit += lengths.sq_len(row, col);
     }
@@ -75,20 +65,20 @@ PhcBreakdown evaluate(const table::Table& t, const CellLengths& lengths,
 }  // namespace
 
 double phc(const table::Table& t, const Ordering& ordering,
-           LengthMeasure measure, MatchMode mode) {
+           LengthMeasure measure) {
   const CellLengths lengths(t, measure);
-  return evaluate(t, lengths, ordering, mode, /*want_detail=*/false).total;
+  return evaluate(t, lengths, ordering, /*want_detail=*/false).total;
 }
 
 PhcBreakdown phc_breakdown(const table::Table& t, const Ordering& ordering,
-                           LengthMeasure measure, MatchMode mode) {
+                           LengthMeasure measure) {
   const CellLengths lengths(t, measure);
-  return evaluate(t, lengths, ordering, mode, /*want_detail=*/true);
+  return evaluate(t, lengths, ordering, /*want_detail=*/true);
 }
 
 double phc_with_lengths(const table::Table& t, const CellLengths& lengths,
-                        const Ordering& ordering, MatchMode mode) {
-  return evaluate(t, lengths, ordering, mode, /*want_detail=*/false).total;
+                        const Ordering& ordering) {
+  return evaluate(t, lengths, ordering, /*want_detail=*/false).total;
 }
 
 TokenPhr token_phr(const std::vector<std::vector<std::uint32_t>>& requests) {

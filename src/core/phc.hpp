@@ -8,13 +8,12 @@
 //
 // Squared lengths model the quadratic token-processing cost of attention.
 // Lengths are measured in tokens by default (the unit the KV cache works
-// in); char/unit measures exist for analytical case studies and tests.
+// in); the unit measure serves the paper's analytical case studies.
 //
 // Match semantics: Eq. 2 compares cell *values* positionally. Real prompts
 // serialize "field_name": "value" pairs, so two positions only share bytes
-// when both the field and the value agree. The default MatchMode therefore
-// requires (field, value) equality; ValueOnly implements the literal
-// equation and is kept for analysis (see DESIGN.md §7).
+// when both the field and the value agree; two positions therefore match
+// only on (field, value) equality (see DESIGN.md §7).
 
 #include <cstdint>
 #include <vector>
@@ -26,13 +25,7 @@ namespace llmq::core {
 
 enum class LengthMeasure {
   Tokens,  // token count under the global tokenizer (default)
-  Chars,   // byte length
   Unit,    // every cell has length 1 (the paper's §3.2 case studies)
-};
-
-enum class MatchMode {
-  FieldAndValue,  // positions match iff same original column AND equal value
-  ValueOnly,      // literal Eq. 2: positions match iff equal value
 };
 
 /// Precomputed per-cell lengths for a table; computing token counts once
@@ -71,18 +64,15 @@ struct PhcBreakdown {
 
 /// Evaluate PHC of `ordering` over `t`.
 double phc(const table::Table& t, const Ordering& ordering,
-           LengthMeasure measure = LengthMeasure::Tokens,
-           MatchMode mode = MatchMode::FieldAndValue);
+           LengthMeasure measure = LengthMeasure::Tokens);
 
 /// Same, with per-row detail.
 PhcBreakdown phc_breakdown(const table::Table& t, const Ordering& ordering,
-                           LengthMeasure measure = LengthMeasure::Tokens,
-                           MatchMode mode = MatchMode::FieldAndValue);
+                           LengthMeasure measure = LengthMeasure::Tokens);
 
 /// PHC evaluated against precomputed lengths (planner hot path).
 double phc_with_lengths(const table::Table& t, const CellLengths& lengths,
-                        const Ordering& ordering,
-                        MatchMode mode = MatchMode::FieldAndValue);
+                        const Ordering& ordering);
 
 /// Token-level prefix hit rate of a serialized request stream: for each
 /// request, tokens shared with the immediately preceding request's prefix,

@@ -8,7 +8,7 @@ namespace llmq::core {
 namespace {
 
 /// Positional hit between the scheduled rows at output positions pos-1 and
-/// pos (FieldAndValue semantics, matching the default PHC metric).
+/// pos ((field, value) matching, as the PHC metric does).
 double adjacency_hit(const table::Table& t, const CellLengths& lengths,
                      const std::vector<std::size_t>& rows,
                      const std::vector<std::vector<std::size_t>>& fields,
@@ -81,45 +81,41 @@ RefineResult refine_ordering(const table::Table& t, Ordering start,
   for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
     std::size_t moves_this_pass = 0;
 
-    if (options.field_moves) {
-      for (std::size_t pos = 1; pos < n; ++pos) {
-        // Realign the (pos-1, pos) pair: fronting their agreement set
-        // changes hits at pos-1, pos, and pos+1.
-        PairAlignment aligned = align_pair(t, rows[pos - 1], fields[pos - 1],
-                                           rows[pos], fields[pos]);
-        if (!aligned.any_common) continue;
-        const double before =
-            hit(pos - 1) + hit(pos) + (pos + 1 < n ? hit(pos + 1) : 0.0);
-        auto saved_prev = fields[pos - 1];
-        auto saved_cur = fields[pos];
-        fields[pos - 1] = std::move(aligned.prev_fields);
-        fields[pos] = std::move(aligned.cur_fields);
-        const double after =
-            hit(pos - 1) + hit(pos) + (pos + 1 < n ? hit(pos + 1) : 0.0);
-        if (after > before + 1e-12) {
-          ++moves_this_pass;
-        } else {
-          fields[pos - 1] = std::move(saved_prev);
-          fields[pos] = std::move(saved_cur);
-        }
+    for (std::size_t pos = 1; pos < n; ++pos) {
+      // Realign the (pos-1, pos) pair: fronting their agreement set
+      // changes hits at pos-1, pos, and pos+1.
+      PairAlignment aligned = align_pair(t, rows[pos - 1], fields[pos - 1],
+                                         rows[pos], fields[pos]);
+      if (!aligned.any_common) continue;
+      const double before =
+          hit(pos - 1) + hit(pos) + (pos + 1 < n ? hit(pos + 1) : 0.0);
+      auto saved_prev = fields[pos - 1];
+      auto saved_cur = fields[pos];
+      fields[pos - 1] = std::move(aligned.prev_fields);
+      fields[pos] = std::move(aligned.cur_fields);
+      const double after =
+          hit(pos - 1) + hit(pos) + (pos + 1 < n ? hit(pos + 1) : 0.0);
+      if (after > before + 1e-12) {
+        ++moves_this_pass;
+      } else {
+        fields[pos - 1] = std::move(saved_prev);
+        fields[pos] = std::move(saved_cur);
       }
     }
 
-    if (options.row_swaps) {
-      for (std::size_t pos = 0; pos + 1 < n; ++pos) {
-        // Swapping positions pos/pos+1 affects hits at pos, pos+1, pos+2.
-        const double before =
-            hit(pos) + hit(pos + 1) + (pos + 2 < n ? hit(pos + 2) : 0.0);
+    for (std::size_t pos = 0; pos + 1 < n; ++pos) {
+      // Swapping positions pos/pos+1 affects hits at pos, pos+1, pos+2.
+      const double before =
+          hit(pos) + hit(pos + 1) + (pos + 2 < n ? hit(pos + 2) : 0.0);
+      std::swap(rows[pos], rows[pos + 1]);
+      std::swap(fields[pos], fields[pos + 1]);
+      const double after =
+          hit(pos) + hit(pos + 1) + (pos + 2 < n ? hit(pos + 2) : 0.0);
+      if (after > before + 1e-12) {
+        ++moves_this_pass;
+      } else {
         std::swap(rows[pos], rows[pos + 1]);
         std::swap(fields[pos], fields[pos + 1]);
-        const double after =
-            hit(pos) + hit(pos + 1) + (pos + 2 < n ? hit(pos + 2) : 0.0);
-        if (after > before + 1e-12) {
-          ++moves_this_pass;
-        } else {
-          std::swap(rows[pos], rows[pos + 1]);
-          std::swap(fields[pos], fields[pos + 1]);
-        }
       }
     }
 

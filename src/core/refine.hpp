@@ -21,8 +21,6 @@ namespace llmq::core {
 struct RefineOptions {
   LengthMeasure measure = LengthMeasure::Tokens;
   std::size_t max_passes = 4;   // full sweeps over the schedule
-  bool row_swaps = true;
-  bool field_moves = true;
 };
 
 struct RefineResult {

@@ -54,7 +54,6 @@ Dataset generate_fever(const GenOptions& opt) {
   ro.k = 4;
   ro.question_field = "claim";
   ro.context_prefix = "evidence";
-  ro.question_first = true;
 
   Dataset d;
   d.name = "FEVER";

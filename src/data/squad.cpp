@@ -55,7 +55,6 @@ Dataset generate_squad(const GenOptions& opt) {
   ro.k = 5;
   ro.question_field = "question";
   ro.context_prefix = "context";
-  ro.question_first = true;
 
   Dataset d;
   d.name = "SQuAD";

@@ -28,19 +28,6 @@ double CostModel::prefill_seconds(std::size_t new_tokens,
   return prefill_flops(new_tokens, cached_tokens) / gpu_.total_flops();
 }
 
-double CostModel::chunked_prefill_seconds(std::size_t new_tokens,
-                                          std::size_t cached_tokens,
-                                          std::size_t chunk_tokens) const {
-  if (chunk_tokens == 0 || chunk_tokens >= new_tokens)
-    return prefill_seconds(new_tokens, cached_tokens);
-  double total = 0.0;
-  for (std::size_t done = 0; done < new_tokens; done += chunk_tokens) {
-    const std::size_t take = std::min(chunk_tokens, new_tokens - done);
-    total += prefill_seconds(take, cached_tokens + done);
-  }
-  return total;
-}
-
 double CostModel::decode_step_seconds(
     const std::vector<std::size_t>& context_lens) const {
   if (context_lens.empty()) return 0.0;

@@ -56,18 +56,6 @@ class CostModel {
   double prefill_seconds(std::size_t new_tokens,
                          std::size_t cached_tokens) const;
 
-  /// Seconds to prefill `new_tokens` in chunks of at most `chunk_tokens`,
-  /// each chunk attending to the context grown by its predecessors
-  /// (cached_tokens + progress). The attended-position sum telescopes, so
-  /// the total FLOPs equal the monolithic prefill exactly — chunking
-  /// changes WHEN the work runs (interleaved with decode steps, bounding
-  /// decode stalls), not how much there is. `chunk_tokens == 0` means
-  /// unchunked (one piece). Exposed so benches and tests can price a
-  /// chunk schedule without stepping an engine.
-  double chunked_prefill_seconds(std::size_t new_tokens,
-                                 std::size_t cached_tokens,
-                                 std::size_t chunk_tokens) const;
-
   /// Seconds for one decode step of a batch whose sequences have the given
   /// context lengths (prompt + generated so far). max(bandwidth, compute).
   double decode_step_seconds(const std::vector<std::size_t>& context_lens) const;

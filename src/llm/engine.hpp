@@ -63,18 +63,12 @@ struct EngineConfig {
   /// prompt prefill before the next decode step, so every running
   /// request's next token stalls behind it — bit-exactly the historical
   /// behavior. > 0 = an admission enters a prefill phase instead and each
-  /// step() interleaves prefill chunks of at most this many tokens with
+  /// step() interleaves at most this many prefill tokens (one chunk) with
   /// one decode token for decode-phase requests, bounding the stall any
   /// decode sits through. Newly completed chunks admit() into the prefix
   /// cache at block-aligned boundaries, so a long prompt becomes reusable
   /// by followers while it is still prefilling.
   std::size_t prefill_chunk_tokens = 0;
-  /// Total prefill tokens step() may spend across ALL prefill-phase
-  /// requests per step (each request still capped at
-  /// prefill_chunk_tokens, one chunk per request per step). 0 = same as
-  /// prefill_chunk_tokens, i.e. one chunk per step. Ignored when
-  /// prefill_chunk_tokens == 0.
-  std::size_t step_token_budget = 0;
 
   /// Shortest-predicted-job-first admission: within the best effective
   /// priority class, admit the pending request with the smallest

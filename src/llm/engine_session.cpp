@@ -387,17 +387,15 @@ void EngineSession::finish_prefill(Running& r) {
 
 void EngineSession::run_prefill_chunks() {
   const EngineConfig& config = engine_.config();
-  const std::size_t chunk_cap = config.prefill_chunk_tokens;
-  std::size_t budget =
-      config.step_token_budget ? config.step_token_budget : chunk_cap;
+  std::size_t budget = config.prefill_chunk_tokens;
 
   // Budget goes out in strict effective-priority order (ties: admission
   // order) — the same rule admission uses — so an interactive prompt that
   // lands mid-way through a long batch prefill takes the next chunks and
   // reaches its first token first, instead of queueing behind every
-  // chunk the batch prompt has left. One chunk per request per step; the
-  // budget cap keeps the whole step short enough that decode-phase
-  // requests are never stalled more than ~budget tokens of prefill.
+  // chunk the batch prompt has left. The budget is one chunk, shared when
+  // a prompt's last chunk is short, so decode-phase requests are never
+  // stalled more than one chunk of prefill.
   std::vector<std::size_t>& order = prefill_order_;
   order.clear();
   for (std::size_t i = 0; i < running_.size(); ++i)
@@ -414,7 +412,7 @@ void EngineSession::run_prefill_chunks() {
     if (budget == 0) break;
     Running& r = running_[idx];
     const std::size_t take =
-        std::min({chunk_cap, budget, r.prefill_target - r.prefill_done});
+        std::min(budget, r.prefill_target - r.prefill_done);
     const double pf = engine_.cost_model().prefill_seconds(
         take, r.prefill_cached + r.prefill_done);
     now_ += pf;

@@ -27,10 +27,10 @@
 //     request's next token stalls behind it. Bit-exactly the historical
 //     behavior — the replay-determinism and equivalence suites pin it.
 //   * > 0 (chunked continuous batching) — an admission reserves memory
-//     and enters a Prefill phase instead; each step() spends a token
-//     budget (step_token_budget, default one chunk) walking prefill-phase
-//     requests in strict effective-priority order (ties: admission
-//     order), giving each at most one chunk of prefill_chunk_tokens,
+//     and enters a Prefill phase instead; each step() spends a budget of
+//     one chunk (prefill_chunk_tokens) walking prefill-phase requests in
+//     strict effective-priority order (ties: admission order), so a
+//     prompt whose last chunk is short leaves the rest to the next one,
 //     then decodes one token for every decode-phase request. Completed
 //     chunks admit() into the prefix cache at block-aligned boundaries,
 //     so a half-prefilled long prompt is already reusable by followers,

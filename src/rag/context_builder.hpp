@@ -19,12 +19,11 @@ struct RagTableOptions {
   std::size_t k = 4;                       // contexts per question
   std::string question_field = "claim";    // name for the question column
   std::string context_prefix = "evidence"; // context columns: prefix1..k
-  bool question_first = true;              // original field order
 };
 
 /// Retrieve top-k contexts for every question and assemble the LLM input
 /// table. Row order matches `questions`; field order puts the question
-/// first (the dataset's "original" layout) unless configured otherwise.
+/// first (the dataset's "original" layout).
 table::Table build_rag_table(const VectorIndex& index,
                              const std::vector<std::string>& questions,
                              const RagTableOptions& options);

@@ -7,8 +7,9 @@
 // (vLLM's seq-length heuristics, learned proxies in S3/PiA) predict the
 // output length and schedule shortest-predicted-job-first. We keep the
 // predictor honest and cheap: an exponentially-weighted running mean of
-// observed output lengths per tenant, plus an EWMA of the absolute error
-// so a `mispredict_penalty` knob can pad unreliable tenants — penalty 0
+// observed output lengths per tenant (weight 0.25 on the newest, from a
+// prior of 8 tokens), plus an EWMA of the absolute error so a
+// `mispredict_penalty` knob can pad unreliable tenants — penalty 0
 // schedules on the raw mean, higher penalties are increasingly
 // conservative (monotone in the knob, since the observations themselves
 // never depend on it).
@@ -26,12 +27,8 @@ namespace llmq::serve {
 
 struct LengthPredictorOptions {
   bool enabled = false;
-  /// Weight of the newest observation in the running mean/error.
-  double ewma_alpha = 0.25;
   /// Pad predictions by this many mean-absolute-errors. 0 = raw mean.
   double mispredict_penalty = 0.0;
-  /// Prediction for a tenant with no observations yet.
-  double initial_estimate = 8.0;
 };
 
 class LengthPredictor {

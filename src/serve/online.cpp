@@ -28,22 +28,6 @@ using detail::SessionTracker;
 using detail::stitch;
 using detail::validate_sessions;
 
-void OnlineConfig::scale_kv_pool(double fraction) {
-  engine.kv_pool_blocks_override =
-      llm::scaled_kv_pool_blocks(model, gpu, engine.block_size, fraction);
-}
-
-FleetConfig OnlineConfig::fleet() const {
-  FleetConfig f;
-  f.engine = engine;
-  f.model = model;
-  f.gpu = gpu;
-  f.n_replicas = n_replicas;
-  f.router = router;
-  f.elasticity = elasticity;
-  return f;
-}
-
 OnlineRunResult run_online(const table::Table& t, const table::FdSet& fds,
                            const std::vector<Arrival>& arrivals,
                            const OnlineConfig& config) {

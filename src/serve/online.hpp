@@ -49,11 +49,16 @@
 
 namespace llmq::serve {
 
-struct OnlineConfig {
+/// The inherited FleetConfig is the replica fleet: `engine`, `model` and
+/// `gpu` describe ONE replica (n_replicas multiplies the fleet's aggregate
+/// KV memory; scale_kv_pool divides the per-replica pool to hold the
+/// total fixed), and 1 replica is the classic single-engine path.
+/// `router` assigns scheduled requests to replicas (router.hpp), and
+/// `elasticity` sizes the fleet (fleet.hpp): n_replicas is then the
+/// INITIAL active count, and enabling it routes even n_replicas == 1
+/// runs through the replicated driver.
+struct OnlineConfig : FleetConfig {
   SchedulerOptions scheduler;
-  llm::EngineConfig engine;
-  llm::ModelSpec model = llm::llama3_8b();
-  llm::GpuSpec gpu = llm::l4();
   /// Output-length channel (same deterministic model the batch executor
   /// uses); only output_tokens() is consulted here.
   llm::ModelProfile model_profile = llm::profile_llama3_8b();
@@ -93,34 +98,14 @@ struct OnlineConfig {
   /// predictions; with both off the predictor only adds bookkeeping.
   LengthPredictorOptions predictor;
 
-  /// Replication: number of independent engine+cache replicas. `engine`,
-  /// `model`, and `gpu` describe ONE replica (n_replicas doubles the
-  /// fleet's aggregate KV memory; divide the per-replica pool to hold the
-  /// total fixed). 1 = the classic single-engine path.
-  std::size_t n_replicas = 1;
-  /// How scheduled requests are assigned to replicas (see router.hpp).
-  RouterPolicy router = RouterPolicy::PrefixAffinity;
-  /// Elastic fleet sizing (fleet.hpp): watermark-driven scale-up/down
-  /// with warm-spawn prefix migration. n_replicas is the INITIAL active
-  /// count; the fleet may grow to elasticity.max_replicas. Enabling this
-  /// routes even n_replicas == 1 runs through the replicated driver.
-  ElasticityConfig elasticity;
-
   /// Observability: optional event sink + time-series sampler threaded
   /// through every component the run constructs (sessions, caches,
   /// scheduler, fleet). Default-null = tracing off at one-branch cost.
   obs::TraceConfig trace;
 
-  /// Shrink the KV pool to `fraction` of the GPU-derived capacity — same
-  /// scaling contract as query::ExecConfig::scale_kv_pool, needed so
-  /// scaled-down streams still oversubscribe the cache. Applies per
-  /// replica.
-  void scale_kv_pool(double fraction);
-
-  /// The replica-fleet slice of this configuration (engine/model/gpu,
-  /// n_replicas, router) — what ReplicaFleet and the query-serving client
-  /// consume.
-  FleetConfig fleet() const;
+  /// The replica-fleet slice of this configuration — what ReplicaFleet
+  /// and the query-serving client consume.
+  const FleetConfig& fleet() const { return *this; }
 };
 
 // ReplicaMetrics (one replica's slice of a replicated run) lives in

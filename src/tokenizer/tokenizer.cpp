@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 
 #include "util/rng.hpp"
 #include "util/token_ops.hpp"
@@ -10,6 +9,9 @@
 namespace llmq::tokenizer {
 
 namespace {
+
+/// Longest piece an alphanumeric run is cut into.
+constexpr std::size_t kMaxPieceChars = 6;
 
 enum ByteClass : unsigned char { kPunct, kAlnum, kSpace };
 
@@ -35,8 +37,8 @@ constexpr TokenId finish(std::uint64_t h) {
   return static_cast<TokenId>(util::hash64_finish(h));
 }
 
-/// Ids of every one-byte piece, bare and space-prefixed: all punctuation
-/// tokens, and the whitespace token when space_prefix is off.
+/// Ids of every one-byte piece, bare and space-prefixed: the punctuation
+/// tokens.
 constexpr auto byte_ids(std::uint64_t seed) {
   std::array<TokenId, 256> ids{};
   for (int c = 0; c < 256; ++c)
@@ -48,30 +50,20 @@ constexpr std::array<TokenId, 256> kSpaceByteId = byte_ids(kSpaceState);
 
 }  // namespace
 
-Tokenizer::Tokenizer(TokenizerOptions opts) : opts_(opts) {
-  // A zero-width piece never advances through an alphanumeric run.
-  if (opts_.max_piece_chars == 0)
-    throw std::invalid_argument("Tokenizer: max_piece_chars must be >= 1");
-}
-
 // One pass over the bytes. Whitespace runs collapse into a space prefix on
-// the next token (or a standalone token when space_prefix is off); each
-// punctuation byte is its own token; an alphanumeric run is cut into
-// pieces of at most max_piece_chars bytes, each hashed as it is read.
+// the next token; each punctuation byte is its own token; an alphanumeric
+// run is cut into pieces of at most kMaxPieceChars bytes, each hashed as it
+// is read.
 template <typename Emit>
 void Tokenizer::tokenize(std::string_view text, Emit&& emit) const {
   const auto* p = reinterpret_cast<const unsigned char*>(text.data());
   const auto* const end = p + text.size();
-  const std::size_t max_piece = opts_.max_piece_chars;
   bool pending_space = false;
   while (p < end) {
     const unsigned char c = *p;
     switch (kByteClass[c]) {
       case kSpace:
-        if (opts_.space_prefix)
-          pending_space = true;
-        else
-          emit(kByteId[c]);
+        pending_space = true;
         do ++p;
         while (p < end && kByteClass[*p] == kSpace);
         break;
@@ -85,7 +77,7 @@ void Tokenizer::tokenize(std::string_view text, Emit&& emit) const {
         pending_space = false;
         std::size_t len = 0;
         do {
-          if (len == max_piece) {
+          if (len == kMaxPieceChars) {
             emit(finish(h));
             h = util::kFnvOffsetBasis;
             len = 0;

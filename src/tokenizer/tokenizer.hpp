@@ -7,7 +7,11 @@
 // (b) a realistic tokens-per-character rate so PHC measured in tokens and
 // the serving cost model are sized like the paper's Table 1. We therefore
 // implement a greedy word/punctuation splitter with BPE-style subword
-// chunking for long words and a stable hashed vocabulary (no vocab file).
+// chunking for long words and a stable hashed vocabulary (no vocab file):
+// an alphanumeric run splits into pieces of at most 6 bytes, mimicking BPE
+// on rare words, and a word after whitespace carries one space in its
+// first token (GPT/Llama-style "Ġword" pieces), so token boundaries never
+// straddle two fields in a surprising way.
 //
 // The vocabulary is pinned: bytes are classed as in the "C" locale
 // (isalnum, isspace, everything else punctuation, bytes >= 0x80
@@ -29,21 +33,10 @@ using TokenId = std::uint32_t;
 /// are irrelevant at our vocabulary sizes).
 using TokenSeq = std::vector<TokenId>;
 
-struct TokenizerOptions {
-  /// Longest subword chunk; words longer than this split into pieces,
-  /// mimicking BPE behaviour on rare words.
-  std::size_t max_piece_chars = 6;
-  /// Words following a space carry the space in the token (GPT/Llama-style
-  /// "Ġword" pieces), so token boundaries never straddle two fields in a
-  /// surprising way.
-  bool space_prefix = true;
-};
-
+/// Stateless: every instance encodes alike, so cache keys agree between
+/// the planner and the serving engine.
 class Tokenizer {
  public:
-  /// Throws std::invalid_argument when opts.max_piece_chars is 0.
-  explicit Tokenizer(TokenizerOptions opts = {});
-
   /// Encode text to token ids. Deterministic; no state.
   TokenSeq encode(std::string_view text) const;
 
@@ -53,18 +46,13 @@ class Tokenizer {
   /// Append the encoding of `text` to `out`, growing `out` at most once.
   void encode_append(std::string_view text, TokenSeq& out) const;
 
-  const TokenizerOptions& options() const { return opts_; }
-
  private:
   /// Calls emit(id) for each token of `text`, in order.
   template <typename Emit>
   void tokenize(std::string_view text, Emit&& emit) const;
-
-  TokenizerOptions opts_;
 };
 
-/// Process-wide default tokenizer (options identical everywhere so that
-/// cache keys agree between the planner and the serving engine).
+/// Process-wide tokenizer.
 const Tokenizer& global_tokenizer();
 
 /// Length of the longest common prefix of two token sequences.

@@ -161,6 +161,32 @@ TEST(PrefixCache, PinnedLeaseSurvivesPressure) {
   pc.release(la2);
 }
 
+TEST(PrefixCache, StaleLeaseAdmitFreesNothing) {
+  // Regression: admit() sized its insert from the lease's lookup-time
+  // path. A lease taken before another request admitted the same prompt
+  // then evicted 4 resident blocks to make room for blocks that were
+  // already cached, and inserted them again (inserted_blocks 10, not 6).
+  PrefixCache pc(cfg(4, /*cap=*/6));
+  const auto a = iota_seq(16, 0);
+  auto first = pc.lookup(a);
+  auto second = pc.lookup(a);  // both miss: the cache is empty
+  pc.admit(a, first);
+  pc.release(first);
+  const auto b = iota_seq(8, 100);
+  auto filler = pc.lookup(b);
+  pc.admit(b, filler);
+  ASSERT_EQ(pc.resident_blocks(), 6u);  // the pool is full
+
+  EXPECT_EQ(pc.admit(a, second), 0u);
+  EXPECT_EQ(pc.stats().evicted_blocks, 0u);
+  EXPECT_EQ(pc.stats().inserted_blocks, 6u);
+  EXPECT_EQ(second.cached_tokens, 16u);
+  EXPECT_EQ(pc.check_invariants(), "");
+  pc.release(second);
+  pc.release(filler);
+  EXPECT_EQ(pc.check_invariants(), "");
+}
+
 TEST(PrefixCache, EngineDrivenEvict) {
   PrefixCache pc(cfg(4, 0));
   const auto a = iota_seq(16);

@@ -142,6 +142,68 @@ TEST_P(TieredChurn, TierLedgerHoldsUnderRandomInterleavings) {
   EXPECT_EQ(cache.check_invariants(), "");
 }
 
+TEST_P(TieredChurn, MigrationsKeepTheTierLedger) {
+  // Warm-spawn traffic on one cache: prefixes land through
+  // admit_migrated() and leave under begin_migration() pins, interleaved
+  // with lease traffic and GPU pressure.
+  const auto p = GetParam();
+  util::Rng rng(p.seed * 7919 + 5);
+  PrefixCache cache(CacheConfig{.block_size = p.block,
+                                .capacity_blocks = p.gpu_cap,
+                                .tiers = p.tiers,
+                                .host_capacity_blocks = p.host_cap,
+                                .disk_capacity_blocks = p.disk_cap});
+
+  std::vector<tokenizer::TokenSeq> prompts;  // shared-prefix-heavy pool
+  for (int i = 0; i < 12; ++i)
+    prompts.push_back(random_prompt(rng, 6 * p.block, 3));
+  std::vector<CacheLease> held;
+  std::vector<PrefixCache::MigrationBatch> outbound;
+
+  for (int step = 0; step < 150; ++step) {
+    const auto& prompt = prompts[rng.next_below(prompts.size())];
+    switch (rng.next_below(5)) {
+      case 0: {  // lookup + admit, keep the lease in flight
+        auto lease = cache.lookup(prompt);
+        cache.admit(prompt, lease);
+        held.push_back(std::move(lease));
+        break;
+      }
+      case 1:
+        if (held.empty()) break;
+        cache.release(held.back());
+        held.pop_back();
+        break;
+      case 2: {  // a prefix lands from a donor; it never reads as a hit
+        const CacheStats before = cache.stats();
+        cache.admit_migrated(prompt);
+        ASSERT_EQ(cache.stats().lookups, before.lookups) << "step " << step;
+        ASSERT_EQ(cache.stats().hit_tokens, before.hit_tokens)
+            << "step " << step;
+        break;
+      }
+      case 3:  // donor side: pin the hottest prefixes, or land a transfer
+        if (outbound.empty() || rng.next_below(2) == 0) {
+          outbound.push_back(cache.begin_migration(1 + rng.next_below(8)));
+        } else {
+          cache.end_migration(outbound.back());
+          outbound.pop_back();
+        }
+        break;
+      case 4:
+        cache.evict(1 + rng.next_below(4));
+        break;
+    }
+    ASSERT_EQ(cache.check_invariants(), "") << "step " << step;
+    ASSERT_LE(cache.stats().promoted_blocks, cache.stats().demoted_blocks);
+  }
+
+  for (auto& lease : held) cache.release(lease);
+  for (auto& batch : outbound) cache.end_migration(batch);
+  EXPECT_EQ(cache.pinned_blocks(), 0u);
+  EXPECT_EQ(cache.check_invariants(), "");
+}
+
 std::vector<TieredChurnParams> tiered_sweep() {
   std::vector<TieredChurnParams> out;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -334,6 +396,32 @@ TEST_P(BatchVictims, EvictOfKMatchesKEvictsOfOne) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, BatchVictims, ::testing::Values(1u, 2u, 3u));
+
+TEST(TieredCache, MigratedPrefixNeverFreesItsOwnMatch) {
+  // Regression: admit_migrated() unpinned its match before making GPU
+  // room, so on a full GPU it freed the tail of the very prefix it was
+  // extending. A flat cache evicted 2 of its blocks and re-inserted them,
+  // reporting 2 new blocks for none; a 2-tier cache demoted them and hung
+  // GPU blocks under a host-tier parent.
+  for (const std::size_t tiers : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "tiers " << tiers);
+    PrefixCache cache(
+        CacheConfig{.block_size = 4, .capacity_blocks = 4, .tiers = tiers});
+    tokenizer::TokenSeq prompt(24);
+    std::iota(prompt.begin(), prompt.end(), 0);
+    const std::span<const tokenizer::TokenId> prefix(prompt.data(), 16);
+    CacheLease lease = cache.lookup(prefix);
+    cache.admit(prefix, lease);
+    cache.release(lease);  // the GPU holds the prefix and nothing else
+
+    EXPECT_EQ(cache.admit_migrated(prompt), 0u);
+    const CacheStats s = cache.stats();
+    EXPECT_EQ(s.inserted_blocks, 4u);
+    EXPECT_EQ(s.evicted_blocks + s.demoted_blocks, 0u);
+    EXPECT_EQ(cache.peek(prefix), 16u);
+    EXPECT_EQ(cache.check_invariants(), "");
+  }
+}
 
 TEST(TieredCache, TierCountOutsideOneToThreeIsRejected) {
   for (std::size_t tiers : {0u, 4u, 17u}) {

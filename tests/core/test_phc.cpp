@@ -68,14 +68,6 @@ TEST(Phc, ComparesOnlyAdjacentRows) {
   EXPECT_DOUBLE_EQ(phc(t, Ordering::identity(3, 1), LengthMeasure::Unit), 0.0);
 }
 
-TEST(Phc, SquaredLengthsCharMeasure) {
-  Table t(Schema::of_names({"a", "b"}));
-  t.append_row({"abc", "de"});
-  t.append_row({"abc", "de"});
-  // 3^2 + 2^2 = 13 under char measure.
-  EXPECT_DOUBLE_EQ(phc(t, Ordering::identity(2, 2), LengthMeasure::Chars), 13.0);
-}
-
 TEST(Phc, TokenMeasureUsesTokenCounts) {
   Table t(Schema::of_names({"a"}));
   t.append_row({"two words"});
@@ -89,11 +81,9 @@ TEST(Phc, FieldAndValueModeRejectsCrossFieldMatch) {
   t.append_row({"v", "w"});
   t.append_row({"x", "v"});
   // Row 2 ordered (b, a) puts "v" first, positionally equal to row 1's "v"
-  // from field a.
+  // from field a: equal values under different fields share no bytes.
   const Ordering o({0, 1}, {{0, 1}, {1, 0}});
-  EXPECT_DOUBLE_EQ(phc(t, o, LengthMeasure::Unit, MatchMode::FieldAndValue),
-                   0.0);
-  EXPECT_DOUBLE_EQ(phc(t, o, LengthMeasure::Unit, MatchMode::ValueOnly), 1.0);
+  EXPECT_DOUBLE_EQ(phc(t, o, LengthMeasure::Unit), 0.0);
 }
 
 TEST(Phc, BreakdownAccountsEveryRow) {

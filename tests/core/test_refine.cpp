@@ -104,17 +104,6 @@ TEST(Refine, ImprovesRandomButRarelyGgr) {
   EXPECT_GT(rand_gain, 0.0);
 }
 
-TEST(Refine, MoveTogglesRespected) {
-  util::Rng rng(35);
-  const auto t = random_table(rng, 20, 3, 2);
-  auto opts = unit_opts();
-  opts.row_swaps = false;
-  opts.field_moves = false;
-  const auto r = refine_ordering(t, original_ordering(t), opts);
-  EXPECT_EQ(r.moves_applied, 0u);
-  EXPECT_DOUBLE_EQ(r.phc_after, r.phc_before);
-}
-
 TEST(Refine, PassBudgetHonored) {
   util::Rng rng(36);
   const auto t = random_table(rng, 60, 3, 2);

@@ -35,15 +35,13 @@ ModelSpec tiny_model() {
 ServingEngine make_engine(std::size_t chunk_tokens,
                           std::size_t pool_blocks = 4096,
                           std::size_t max_batch = 8,
-                          bool preemption = false,
-                          std::size_t step_budget = 0) {
+                          bool preemption = false) {
   EngineConfig ec;
   ec.max_batch_size = max_batch;
   ec.block_size = 16;
   ec.kv_pool_blocks_override = pool_blocks;
   ec.preemption = preemption;
   ec.prefill_chunk_tokens = chunk_tokens;
-  ec.step_token_budget = step_budget;
   return ServingEngine(CostModel(tiny_model(), l4()), ec);
 }
 
@@ -99,14 +97,22 @@ TEST(CostModelChunking, ChunkScheduleTelescopesToMonolithicFlops) {
   // Sum over chunks of (t*c + t^2/2) with the context grown per chunk is
   // exactly the monolithic attended-position count, so the chunk schedule
   // costs the same seconds (modulo FP summation order).
+  // The engine prices each chunk with prefill_seconds at the context its
+  // predecessors grew.
+  const auto chunked = [&](std::size_t new_tokens, std::size_t cached,
+                           std::size_t chunk) {
+    double total = 0.0;
+    for (std::size_t done = 0; done < new_tokens; done += chunk)
+      total += cm.prefill_seconds(std::min(chunk, new_tokens - done),
+                                  cached + done);
+    return total;
+  };
   for (std::size_t chunk : {1u, 7u, 16u, 100u, 1000u}) {
-    EXPECT_NEAR(cm.chunked_prefill_seconds(513, 64, chunk),
-                cm.prefill_seconds(513, 64),
+    EXPECT_NEAR(chunked(513, 64, chunk), cm.prefill_seconds(513, 64),
                 1e-12 + 1e-9 * cm.prefill_seconds(513, 64))
         << "chunk=" << chunk;
   }
-  EXPECT_EQ(cm.chunked_prefill_seconds(100, 0, 0), cm.prefill_seconds(100, 0));
-  EXPECT_EQ(cm.chunked_prefill_seconds(0, 10, 8), 0.0);
+  EXPECT_EQ(chunked(0, 10, 8), 0.0);
 }
 
 TEST(ChunkedPrefill, DivergentPromptsMatchMonolithicAccountingExactly) {
@@ -230,27 +236,6 @@ TEST(ChunkedPrefill, PartiallyPrefilledPromptIsReusableByFollowers) {
     }
   }
   EXPECT_EQ(cache.check_invariants(), "");
-}
-
-TEST(ChunkedPrefill, StepBudgetSharesChunksAcrossConcurrentPrefills) {
-  // Two long prompts prefilling concurrently: with a budget of exactly one
-  // chunk per step, each step runs one chunk total; with a 2-chunk budget
-  // both make progress per step and total steps drop.
-  const auto steps_to_drain = [](std::size_t budget) {
-    const ServingEngine engine =
-        make_engine(/*chunk=*/64, 1u << 14, 8, false, budget);
-    auto cache = engine.make_session_cache();
-    EngineSession session(engine, cache);
-    session.submit(make_request(1, 640, 2, PriorityClass::Standard, 1));
-    session.submit(make_request(2, 640, 2, PriorityClass::Standard, 2));
-    std::size_t steps = 0;
-    while (session.has_work()) {
-      session.step();
-      ++steps;
-    }
-    return steps;
-  };
-  EXPECT_LT(steps_to_drain(128), steps_to_drain(64));
 }
 
 TEST(ChunkedPrefill, PreemptDuringPrefillKeepsLedgersExactlyOnce) {

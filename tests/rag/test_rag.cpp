@@ -132,17 +132,5 @@ TEST(ContextBuilder, FewerDocsThanKPadsEmpty) {
   EXPECT_EQ(t.cell(0, 3), "");
 }
 
-TEST(ContextBuilder, QuestionLastOption) {
-  VectorIndex idx{Embedder(64)};
-  idx.add("doc");
-  RagTableOptions opt;
-  opt.k = 1;
-  opt.question_first = false;
-  const auto t = build_rag_table(idx, {"q"}, opt);
-  EXPECT_EQ(t.schema().field(0).name, "evidence1");
-  EXPECT_EQ(t.schema().field(1).name, "claim");
-  EXPECT_EQ(t.cell(0, 1), "q");
-}
-
 }  // namespace
 }  // namespace llmq::rag

