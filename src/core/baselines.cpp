@@ -1,11 +1,6 @@
 #include "core/baselines.hpp"
 
-#include <algorithm>
 #include <numeric>
-#include <string_view>
-#include <unordered_map>
-
-#include "tokenizer/tokenizer.hpp"
 
 namespace llmq::core {
 
@@ -18,81 +13,6 @@ Ordering stats_fixed_ordering(const table::Table& t) {
   const std::vector<std::size_t> field_order = stats.fields_by_expected_score();
   const std::vector<std::size_t> row_order = t.sorted_row_order(field_order);
   return Ordering::fixed_fields(row_order, field_order);
-}
-
-SubOrdering stats_fixed_subordering(
-    const table::Table& t, const std::vector<std::uint32_t>& rows,
-    const std::vector<std::uint32_t>& cols,
-    const std::vector<std::vector<std::size_t>>* closures) {
-  const auto& tok = tokenizer::global_tokenizer();
-
-  // Per-column expected score over just these rows.
-  struct ColScore {
-    std::size_t col;
-    double score;
-  };
-  std::vector<ColScore> scored;
-  scored.reserve(cols.size());
-  for (auto c : cols) {
-    std::unordered_map<std::string_view, std::size_t> counts;
-    double sum_sq = 0.0;
-    for (auto r : rows) {
-      const std::string& v = t.cell(r, c);
-      ++counts[v];
-    }
-    for (const auto& [v, cnt] : counts) {
-      const double l = static_cast<double>(tok.count(v));
-      sum_sq += l * l * static_cast<double>(cnt);
-    }
-    const double avg_sq =
-        rows.empty() ? 0.0 : sum_sq / static_cast<double>(rows.size());
-    const double repeats =
-        counts.empty()
-            ? 0.0
-            : static_cast<double>(rows.size()) /
-                      static_cast<double>(counts.size()) -
-                  1.0;
-    scored.push_back(ColScore{c, repeats > 0.0 ? avg_sq * repeats : 0.0});
-  }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const ColScore& a, const ColScore& b) {
-                     return a.score > b.score;
-                   });
-
-  SubOrdering out;
-  out.field_order.reserve(cols.size());
-  if (closures == nullptr) {
-    for (const auto& cs : scored) out.field_order.push_back(cs.col);
-  } else {
-    // Emit each field followed by its not-yet-emitted FD closure: fields
-    // that repeat together stay adjacent, so a value match extends through
-    // the whole dependent run instead of breaking on an interleaved
-    // unrelated field.
-    std::vector<bool> emitted(t.num_cols(), false);
-    std::vector<bool> in_view(t.num_cols(), false);
-    for (auto c : cols) in_view[c] = true;
-    auto emit = [&](std::size_t c) {
-      if (!in_view[c] || emitted[c]) return;
-      emitted[c] = true;
-      out.field_order.push_back(c);
-    };
-    for (const auto& cs : scored) {
-      if (emitted[cs.col]) continue;
-      emit(cs.col);
-      for (std::size_t dep : (*closures)[cs.col]) emit(dep);
-    }
-  }
-
-  out.row_order.assign(rows.begin(), rows.end());
-  std::stable_sort(out.row_order.begin(), out.row_order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     for (std::size_t f : out.field_order) {
-                       const auto cmp = t.cell(a, f).compare(t.cell(b, f));
-                       if (cmp != 0) return cmp < 0;
-                     }
-                     return false;
-                   });
-  return out;
 }
 
 Ordering sorted_original_fields(const table::Table& t) {

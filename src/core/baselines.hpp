@@ -1,6 +1,6 @@
 #pragma once
-// Baseline orderings (paper §6.1.3) and the stats-ranked fixed ordering
-// that GGR falls back to on early stopping (§4.2.2).
+// Baseline orderings (paper §6.1.3), among them the stats-ranked fixed
+// ordering that GGR's early-stop fallback (§4.2.2) applies to a sub-view.
 
 #include "core/ordering.hpp"
 #include "table/stats.hpp"
@@ -15,26 +15,9 @@ Ordering original_ordering(const table::Table& t);
 
 /// Fixed field ordering ranked by expected PHC contribution
 /// (E[len_tokens]^2 * (n/cardinality - 1), table/stats.hpp), with rows
-/// sorted lexicographically under that field priority. This is both a
-/// strong fixed-order baseline and the GGR early-stop fallback.
+/// sorted lexicographically under that field priority: a strong fixed-order
+/// baseline, and what GGR's fallback does to the rows it stops on.
 Ordering stats_fixed_ordering(const table::Table& t);
-
-/// Same, restricted to a sub-view (rows/cols as original indices). The
-/// returned Ordering is expressed in original indices and covers exactly
-/// `rows`; `cols` lists the fields to order (callers append the rest).
-/// Exposed for GGR's internal fallback.
-struct SubOrdering {
-  std::vector<std::size_t> row_order;               // original row ids
-  std::vector<std::size_t> field_order;             // original col ids
-};
-/// `closures` (optional, indexed by original column id) applies §4.2.1 to
-/// the fallback too: fields functionally tied to a ranked field are placed
-/// directly after it, so values that repeat *together* stay contiguous in
-/// the fixed order.
-SubOrdering stats_fixed_subordering(
-    const table::Table& t, const std::vector<std::uint32_t>& rows,
-    const std::vector<std::uint32_t>& cols,
-    const std::vector<std::vector<std::size_t>>* closures = nullptr);
 
 /// Rows sorted lexicographically with the *original* field order (ablation:
 /// isolates "sorting helps" from "field choice helps").

@@ -19,10 +19,16 @@
 // implemented as [group rows (value + FD fields first)] ++ [other rows];
 // HITCOUNT squares inferred-column lengths by default so the score is in
 // PHC units (set `square_inferred_lengths=false` for the literal line 6).
+//
+// The solver runs on dictionary codes (core/encoded_table.hpp): groups are
+// code runs, lengths come from the dictionary, and value order is code
+// order, so it plans exactly what a string-keyed GGR plans.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "core/encoded_table.hpp"
 #include "core/ordering.hpp"
 #include "core/phc.hpp"
 #include "table/fd.hpp"
@@ -71,6 +77,15 @@ struct GgrResult {
   double solve_seconds = 0.0;
 };
 
+/// Plan the rows `rows` of an encoded table (a window; one table row may
+/// appear more than once). The ordering's row ids are positions in `rows`,
+/// not table rows. Throws std::invalid_argument when `rows` is empty.
+GgrResult ggr(const EncodedTable& v, std::span<const std::uint32_t> rows,
+              const table::FdSet& fds, const GgrOptions& options = {});
+
+/// Plan a whole table: encodes `t` and plans all of its rows (the
+/// ordering's row ids are then table rows). `solve_seconds` includes the
+/// encode.
 GgrResult ggr(const table::Table& t, const table::FdSet& fds,
               const GgrOptions& options = {});
 

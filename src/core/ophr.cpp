@@ -54,8 +54,8 @@ struct ViewKeyHash {
 
 class Solver {
  public:
-  Solver(const table::Table& t, const CellLengths& lengths, Deadline deadline)
-      : t_(t), lengths_(lengths), deadline_(deadline) {}
+  Solver(const EncodedTable& v, LengthMeasure measure, Deadline deadline)
+      : v_(v), measure_(measure), deadline_(deadline) {}
 
   NodeResult solve(const ViewKey& key) {
     if (deadline_.expired()) throw TimeoutSignal{};
@@ -91,19 +91,18 @@ class Solver {
     for (std::size_t ci = 0; ci < key.cols.size(); ++ci) {
       const std::uint32_t col = key.cols[ci];
       // Distinct values of `col` within the view, grouped. std::map gives
-      // deterministic candidate order.
-      std::map<std::string_view, std::vector<std::uint32_t>> groups;
-      for (auto r : key.rows) groups[t_.cell(r, col)].push_back(r);
+      // deterministic candidate order (value order: codes sort like it).
+      std::map<std::uint32_t, std::vector<std::uint32_t>> groups;
+      for (auto r : key.rows) groups[v_.code(r, col)].push_back(r);
       for (const auto& [value, rv] : groups) {
         const double contribution =
-            lengths_.sq_len(rv.front(), col) *
-            static_cast<double>(rv.size() - 1);
+            sq_len(rv.front(), col) * static_cast<double>(rv.size() - 1);
 
         // Sub-table A: rows without this value, all fields.
         ViewKey a_key;
         a_key.cols = key.cols;
         for (auto r : key.rows)
-          if (t_.cell(r, col) != value) a_key.rows.push_back(r);
+          if (v_.code(r, col) != value) a_key.rows.push_back(r);
 
         // Sub-table B: rows with this value, without this field.
         ViewKey b_key;
@@ -145,12 +144,12 @@ class Solver {
 
   NodeResult single_col(const ViewKey& key) {
     // Group identical values; each value scores len^2 * (count - 1).
-    std::map<std::string_view, std::vector<std::uint32_t>> groups;
+    std::map<std::uint32_t, std::vector<std::uint32_t>> groups;
     const std::uint32_t col = key.cols[0];
-    for (auto r : key.rows) groups[t_.cell(r, col)].push_back(r);
+    for (auto r : key.rows) groups[v_.code(r, col)].push_back(r);
     NodeResult res;
     for (const auto& [value, rows] : groups) {
-      res.phc += lengths_.sq_len(rows.front(), col) *
+      res.phc += sq_len(rows.front(), col) *
                  static_cast<double>(rows.size() - 1);
       for (auto r : rows) res.plans.push_back(make_plan(r, key.cols));
     }
@@ -159,11 +158,16 @@ class Solver {
 
   bool all_distinct(const ViewKey& key) const {
     for (auto c : key.cols) {
-      std::unordered_map<std::string_view, int> seen;
+      std::unordered_map<std::uint32_t, int> seen;
       for (auto r : key.rows)
-        if (++seen[t_.cell(r, c)] > 1) return false;
+        if (++seen[v_.code(r, c)] > 1) return false;
     }
     return true;
+  }
+
+  double sq_len(std::size_t row, std::size_t col) const {
+    const double l = v_.len(col, v_.code(row, col), measure_);
+    return l * l;
   }
 
   static RowPlan make_plan(std::uint32_t row,
@@ -174,8 +178,8 @@ class Solver {
     return p;
   }
 
-  const table::Table& t_;
-  const CellLengths& lengths_;
+  const EncodedTable& v_;
+  LengthMeasure measure_;
   Deadline deadline_;
   std::unordered_map<ViewKey, NodeResult, ViewKeyHash> memo_;
   std::size_t nodes_ = 0;
@@ -196,9 +200,9 @@ Ordering plans_to_ordering(std::vector<RowPlan> plans) {
 
 }  // namespace
 
-std::optional<OphrResult> ophr(const table::Table& t,
+std::optional<OphrResult> ophr(const EncodedTable& v,
                                const OphrOptions& options) {
-  if (t.num_rows() == 0)
+  if (v.num_rows() == 0)
     throw std::invalid_argument("ophr: empty table");
   const auto start = Clock::now();
   Deadline deadline;
@@ -208,16 +212,11 @@ std::optional<OphrResult> ophr(const table::Table& t,
                                std::chrono::duration<double>(
                                    options.time_budget_seconds));
   }
-  const CellLengths lengths(t, options.measure);
-  Solver solver(t, lengths, deadline);
+  Solver solver(v, options.measure, deadline);
 
   ViewKey root;
-  root.rows.resize(t.num_rows());
-  for (std::size_t r = 0; r < t.num_rows(); ++r)
-    root.rows[r] = static_cast<std::uint32_t>(r);
-  root.cols.resize(t.num_cols());
-  for (std::size_t c = 0; c < t.num_cols(); ++c)
-    root.cols[c] = static_cast<std::uint32_t>(c);
+  root.rows = all_rows(v.num_rows());
+  root.cols = all_rows(v.num_cols());
 
   try {
     NodeResult res = solver.solve(root);
@@ -232,6 +231,18 @@ std::optional<OphrResult> ophr(const table::Table& t,
   } catch (const TimeoutSignal&) {
     return std::nullopt;
   }
+}
+
+std::optional<OphrResult> ophr(const table::Table& t,
+                               const OphrOptions& options) {
+  if (t.num_rows() == 0)
+    throw std::invalid_argument("ophr: empty table");
+  const auto start = Clock::now();
+  std::optional<OphrResult> out = ophr(EncodedTable(t), options);
+  if (out)
+    out->solve_seconds =
+        std::chrono::duration<double>(Clock::now() - start).count();
+  return out;
 }
 
 }  // namespace llmq::core

@@ -12,6 +12,7 @@
 
 #include <optional>
 
+#include "core/encoded_table.hpp"
 #include "core/ordering.hpp"
 #include "core/phc.hpp"
 #include "table/table.hpp"
@@ -33,6 +34,10 @@ struct OphrResult {
 };
 
 /// Returns nullopt iff the time budget expired.
+std::optional<OphrResult> ophr(const EncodedTable& v,
+                               const OphrOptions& options = {});
+
+/// Encodes `t`, then solves it; `solve_seconds` includes the encode.
 std::optional<OphrResult> ophr(const table::Table& t,
                                const OphrOptions& options = {});
 

@@ -16,38 +16,14 @@
 // only on (field, value) equality (see DESIGN.md §7).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "core/encoded_table.hpp"
 #include "core/ordering.hpp"
 #include "table/table.hpp"
 
 namespace llmq::core {
-
-enum class LengthMeasure {
-  Tokens,  // token count under the global tokenizer (default)
-  Unit,    // every cell has length 1 (the paper's §3.2 case studies)
-};
-
-/// Precomputed per-cell lengths for a table; computing token counts once
-/// per distinct value makes repeated PHC evaluation cheap inside planners.
-class CellLengths {
- public:
-  CellLengths(const table::Table& t, LengthMeasure measure);
-
-  double len(std::size_t row, std::size_t col) const {
-    return len_[row * n_cols_ + col];
-  }
-  double sq_len(std::size_t row, std::size_t col) const {
-    const double l = len(row, col);
-    return l * l;
-  }
-  LengthMeasure measure() const { return measure_; }
-
- private:
-  std::vector<double> len_;
-  std::size_t n_cols_;
-  LengthMeasure measure_;
-};
 
 struct PhcBreakdown {
   double total = 0.0;               // PHC (squared-length units)
@@ -70,9 +46,11 @@ double phc(const table::Table& t, const Ordering& ordering,
 PhcBreakdown phc_breakdown(const table::Table& t, const Ordering& ordering,
                            LengthMeasure measure = LengthMeasure::Tokens);
 
-/// PHC evaluated against precomputed lengths (planner hot path).
-double phc_with_lengths(const table::Table& t, const CellLengths& lengths,
-                        const Ordering& ordering);
+/// PHC of `ordering` over the rows `rows` of an encoded table: output
+/// position pos holds table row rows[ordering.row_at(pos)] (a planned
+/// window, or an emitted stream that may serve one row many times).
+double phc(const EncodedTable& v, std::span<const std::uint32_t> rows,
+           const Ordering& ordering, LengthMeasure measure);
 
 /// Token-level prefix hit rate of a serialized request stream: for each
 /// request, tokens shared with the immediately preceding request's prefix,

@@ -9,7 +9,7 @@ namespace {
 
 /// Positional hit between the scheduled rows at output positions pos-1 and
 /// pos ((field, value) matching, as the PHC metric does).
-double adjacency_hit(const table::Table& t, const CellLengths& lengths,
+double adjacency_hit(const EncodedTable& v, LengthMeasure measure,
                      const std::vector<std::size_t>& rows,
                      const std::vector<std::vector<std::size_t>>& fields,
                      std::size_t pos) {
@@ -19,8 +19,10 @@ double adjacency_hit(const table::Table& t, const CellLengths& lengths,
   double hit = 0.0;
   for (std::size_t f = 0; f < cur_f.size(); ++f) {
     if (prev_f[f] != cur_f[f]) break;
-    if (t.cell(rows[pos], cur_f[f]) != t.cell(rows[pos - 1], prev_f[f])) break;
-    hit += lengths.sq_len(rows[pos], cur_f[f]);
+    const std::uint32_t code = v.code(rows[pos], cur_f[f]);
+    if (code != v.code(rows[pos - 1], prev_f[f])) break;
+    const double l = v.len(cur_f[f], code, measure);
+    hit += l * l;
   }
   return hit;
 }
@@ -34,15 +36,15 @@ struct PairAlignment {
   bool any_common = false;
 };
 
-PairAlignment align_pair(const table::Table& t, std::size_t prev_row,
+PairAlignment align_pair(const EncodedTable& v, std::size_t prev_row,
                          const std::vector<std::size_t>& prev_fields,
                          std::size_t cur_row,
                          const std::vector<std::size_t>& cur_fields) {
   PairAlignment out;
-  std::vector<bool> common(t.num_cols(), false);
+  std::vector<bool> common(v.num_cols(), false);
   std::vector<std::size_t> shared;
   for (std::size_t col : prev_fields) {
-    if (t.cell(prev_row, col) == t.cell(cur_row, col)) {
+    if (v.code(prev_row, col) == v.code(cur_row, col)) {
       common[col] = true;
       shared.push_back(col);
       out.any_common = true;
@@ -65,17 +67,18 @@ RefineResult refine_ordering(const table::Table& t, Ordering start,
                              const RefineOptions& options) {
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
-  const CellLengths lengths(t, options.measure);
+  const EncodedTable v(t);
+  const std::vector<std::uint32_t> all = all_rows(t.num_rows());
 
   RefineResult out;
-  out.phc_before = phc_with_lengths(t, lengths, start);
+  out.phc_before = phc(v, all, start, options.measure);
 
   std::vector<std::size_t> rows = start.row_order();
   std::vector<std::vector<std::size_t>> fields = start.field_orders();
   const std::size_t n = rows.size();
 
   auto hit = [&](std::size_t pos) {
-    return adjacency_hit(t, lengths, rows, fields, pos);
+    return adjacency_hit(v, options.measure, rows, fields, pos);
   };
 
   for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
@@ -84,7 +87,7 @@ RefineResult refine_ordering(const table::Table& t, Ordering start,
     for (std::size_t pos = 1; pos < n; ++pos) {
       // Realign the (pos-1, pos) pair: fronting their agreement set
       // changes hits at pos-1, pos, and pos+1.
-      PairAlignment aligned = align_pair(t, rows[pos - 1], fields[pos - 1],
+      PairAlignment aligned = align_pair(v, rows[pos - 1], fields[pos - 1],
                                          rows[pos], fields[pos]);
       if (!aligned.any_common) continue;
       const double before =
@@ -125,7 +128,7 @@ RefineResult refine_ordering(const table::Table& t, Ordering start,
   }
 
   out.ordering = Ordering(std::move(rows), std::move(fields));
-  out.phc_after = phc_with_lengths(t, lengths, out.ordering);
+  out.phc_after = phc(v, all, out.ordering, options.measure);
   out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   return out;
 }

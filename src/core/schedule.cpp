@@ -26,9 +26,10 @@ std::optional<Policy> policy_from_string(const std::string& name) {
   return std::nullopt;
 }
 
-Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
+Plan plan_ordering(const EncodedTable& v, const table::FdSet& fds,
                    const PlanRequest& req) {
   using Clock = std::chrono::steady_clock;
+  const table::Table& t = v.table();
   Plan out;
   const auto start = Clock::now();
   switch (req.policy) {
@@ -42,14 +43,14 @@ Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
       out.ordering = stats_fixed_ordering(t);
       break;
     case Policy::Ggr: {
-      GgrResult r = ggr(t, fds, req.ggr);
+      GgrResult r = ggr(v, all_rows(v.num_rows()), fds, req.ggr);
       out.ordering = std::move(r.ordering);
       out.planner_phc = r.phc;
       out.solver_seconds = r.solve_seconds;
       return out;
     }
     case Policy::Ophr: {
-      if (auto r = ophr(t, req.ophr)) {
+      if (auto r = ophr(v, req.ophr)) {
         out.ordering = std::move(r->ordering);
         out.planner_phc = r->phc;
         out.solver_seconds = r->solve_seconds;
@@ -63,6 +64,11 @@ Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
   out.solver_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   return out;
+}
+
+Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
+                   const PlanRequest& req) {
+  return plan_ordering(EncodedTable(t), fds, req);
 }
 
 }  // namespace llmq::core

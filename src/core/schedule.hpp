@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 
+#include "core/encoded_table.hpp"
 #include "core/ggr.hpp"
 #include "core/ophr.hpp"
 #include "core/ordering.hpp"
@@ -42,8 +43,13 @@ struct Plan {
   bool timed_out = false;    // OPHR only
 };
 
-/// Plan a request schedule for `t` under `req`. For OPHR, a timeout yields
-/// `timed_out=true` with the Original ordering as a safe fallback.
+/// Plan a request schedule for the encoded table `v` under `req`. For
+/// OPHR, a timeout yields `timed_out=true` with the Original ordering as a
+/// safe fallback.
+Plan plan_ordering(const EncodedTable& v, const table::FdSet& fds,
+                   const PlanRequest& req);
+
+/// Encodes `t`, then plans it.
 Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
                    const PlanRequest& req);
 

@@ -1,7 +1,8 @@
 #include "core/windowed.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <numeric>
+#include <span>
 #include <stdexcept>
 
 namespace llmq::core {
@@ -22,15 +23,15 @@ WindowedResult windowed_ggr(const table::Table& t, const table::FdSet& fds,
   row_order.reserve(n);
   field_orders.reserve(n);
 
+  const EncodedTable v(t);
+  const std::vector<std::uint32_t> rows = all_rows(n);
   for (std::size_t begin = 0; begin < n; begin += window) {
     const std::size_t end = std::min(n, begin + window);
-    std::vector<std::size_t> window_rows(end - begin);
-    std::iota(window_rows.begin(), window_rows.end(), begin);
-    const table::Table sub = t.take_rows(window_rows);
-
-    GgrResult res = ggr(sub, fds, options.ggr);
+    GgrResult res = ggr(
+        v, std::span<const std::uint32_t>(rows).subspan(begin, end - begin),
+        fds, options.ggr);
     for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
-      // Remap window-local row ids back to the full table.
+      // Remap positions in the window back to the full table.
       row_order.push_back(begin + res.ordering.row_at(pos));
       field_orders.push_back(res.ordering.fields_at(pos));
     }
@@ -42,7 +43,7 @@ WindowedResult windowed_ggr(const table::Table& t, const table::FdSet& fds,
   }
 
   out.ordering = Ordering(std::move(row_order), std::move(field_orders));
-  out.phc = phc(t, out.ordering, options.ggr.measure);
+  out.phc = phc(v, rows, out.ordering, options.ggr.measure);
   out.solve_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   return out;

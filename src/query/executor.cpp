@@ -1,6 +1,7 @@
 #include "query/executor.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 
 #include "core/phc.hpp"
@@ -28,11 +29,15 @@ StagePrep prepare_stage(const table::Table& t, const table::FdSet& fds,
                         const ExecConfig& config) {
   StagePrep prep;
   prep.table = stage_table(t, stage.fields);
+  // The stage table's encoded view, shared by the planner and the prompt
+  // builder; it lives for this call only.
+  const auto view = std::make_shared<EncodedView>(prep.table);
 
   // 1. Plan the request ordering over exactly the fields the operator
   //    touches (§3.1: the optimizer may permute fields within the LLM's
   //    field-expression list).
-  prep.plan = core::plan_ordering(prep.table, fds, config.planner);
+  prep.plan =
+      core::plan_ordering(view->codes(prep.table), fds, config.planner);
 
   // 2. Materialize requests + task answers.
   LlmOperatorSpec op;
@@ -43,8 +48,8 @@ StagePrep prepare_stage(const table::Table& t, const table::FdSet& fds,
   op.key_field = key_field;
   op.position_sensitivity = spec.position_sensitivity;
   const llm::TaskModel task_model(config.model_profile);
-  prep.ops =
-      build_requests(prep.table, prep.plan.ordering, op, task_model, truth);
+  prep.ops = build_requests(prep.table, prep.plan.ordering, op, task_model,
+                            truth, view);
   return prep;
 }
 

@@ -20,12 +20,13 @@ OperatorOutput build_requests(const table::Table& t,
                               const core::Ordering& ordering,
                               const LlmOperatorSpec& spec,
                               const llm::TaskModel& model,
-                              const std::vector<std::string>& truth) {
+                              const std::vector<std::string>& truth,
+                              std::shared_ptr<EncodedView> view) {
   OperatorOutput out;
   out.requests.reserve(t.num_rows());
   out.answers.assign(t.num_rows(), std::string());
 
-  const PromptEncoder encoder(spec.tmpl);
+  const PromptEncoder encoder(spec.tmpl, std::move(view));
   const auto& tok = tokenizer::global_tokenizer();
 
   for (std::size_t pos = 0; pos < ordering.num_rows(); ++pos) {

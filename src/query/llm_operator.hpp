@@ -7,6 +7,7 @@
 // output lengths. The operator is where "relational row" becomes
 // "LLM request".
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,12 +41,14 @@ struct OperatorOutput {
 
 /// Build the request stream for `ordering` over `t`.
 /// `truth` (aligned with t's rows) supplies ground-truth labels for
-/// categorical tasks; free-form tasks may pass an empty vector.
+/// categorical tasks; free-form tasks may pass an empty vector. `view` is
+/// the run's encoded view of `t` (null: the call encodes `t` itself).
 OperatorOutput build_requests(const table::Table& t,
                               const core::Ordering& ordering,
                               const LlmOperatorSpec& spec,
                               const llm::TaskModel& model,
-                              const std::vector<std::string>& truth);
+                              const std::vector<std::string>& truth,
+                              std::shared_ptr<EncodedView> view = nullptr);
 
 /// Fraction in [0,1] locating `key_field` within `field_order` (0 = first).
 /// Returns 0.5 when the field is absent or the row has a single field.

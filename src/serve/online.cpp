@@ -44,7 +44,9 @@ OnlineRunResult run_online(const table::Table& t, const table::FdSet& fds,
   validate_sessions(config, arrivals);
   auto index_of = index_arrivals(t, arrivals);
 
-  OnlineScheduler scheduler(t, fds, config.scheduler);
+  // The run's one encoded view of `t`, built at its first use.
+  const auto view = std::make_shared<query::EncodedView>(t);
+  OnlineScheduler scheduler(t, fds, config.scheduler, view);
   llm::ServingEngine engine(llm::CostModel(config.model, config.gpu),
                             config.engine);
   cache::PrefixCache cache = engine.make_session_cache();
@@ -57,10 +59,10 @@ OnlineRunResult run_online(const table::Table& t, const table::FdSet& fds,
                                                    : nullptr,
                            config.trace.sample_interval_seconds);
   const llm::TaskModel task_model(config.model_profile);
-  EncoderMap encoders(config.prompt);
+  EncoderMap encoders(config.prompt, view);
   LengthPredictor predictor(config.predictor);
   scheduler.set_predictor(&predictor);
-  SessionTracker tracker(config.sessions);
+  SessionTracker tracker(config.sessions, view);
   ArrivalFeed feed(arrivals);
   std::vector<Arrival> spawned;  // feedback arrivals, in spawn order
 
@@ -149,12 +151,12 @@ OnlineRunResult run_online(const table::Table& t, const table::FdSet& fds,
   out.load_imbalance = 1.0;
   if (spawned.empty()) {
     finalize_emitted(out, t, arrivals, config, std::move(emitted_rows),
-                     std::move(emitted_fields));
+                     std::move(emitted_fields), view);
   } else {
     std::vector<Arrival> all = arrivals;
     all.insert(all.end(), spawned.begin(), spawned.end());
     finalize_emitted(out, t, all, config, std::move(emitted_rows),
-                     std::move(emitted_fields));
+                     std::move(emitted_fields), view);
   }
   return out;
 }
@@ -185,7 +187,9 @@ OnlineRunResult run_fleet_online(const table::Table& t,
   validate_sessions(config, arrivals);
   auto index_of = index_arrivals(t, arrivals);
 
-  OnlineScheduler scheduler(t, fds, config.scheduler);
+  // The run's one encoded view of `t`, built at its first use.
+  const auto view = std::make_shared<query::EncodedView>(t);
+  OnlineScheduler scheduler(t, fds, config.scheduler, view);
   if (config.trace.sink) {
     fleet.set_trace(config.trace.sink);
     scheduler.set_trace(config.trace.sink);
@@ -194,10 +198,10 @@ OnlineRunResult run_fleet_online(const table::Table& t,
                                                    : nullptr,
                            config.trace.sample_interval_seconds);
   const llm::TaskModel task_model(config.model_profile);
-  EncoderMap encoders(config.prompt);
+  EncoderMap encoders(config.prompt, view);
   LengthPredictor predictor(config.predictor);
   scheduler.set_predictor(&predictor);
-  SessionTracker tracker(config.sessions);
+  SessionTracker tracker(config.sessions, view);
   ArrivalFeed feed(arrivals);
   std::vector<Arrival> spawned;  // feedback arrivals, in spawn order
 
@@ -353,12 +357,12 @@ OnlineRunResult run_fleet_online(const table::Table& t,
   out.load_imbalance = fleet.load_imbalance();
   if (spawned.empty()) {
     finalize_emitted(out, t, arrivals, config, std::move(emitted_rows),
-                     std::move(emitted_fields));
+                     std::move(emitted_fields), view);
   } else {
     std::vector<Arrival> all = arrivals;
     all.insert(all.end(), spawned.begin(), spawned.end());
     finalize_emitted(out, t, all, config, std::move(emitted_rows),
-                     std::move(emitted_fields));
+                     std::move(emitted_fields), view);
   }
   return out;
 }

@@ -108,11 +108,14 @@ tokenizer::TokenSeq SessionTracker::make_child_prompt(
     throw std::logic_error("SessionTracker: follow-up dispatch without spawn");
   tokenizer::TokenSeq prompt = std::move(it->second);
   child_prefix_.erase(it);
-  // One concatenated string through one encode_append call, so a test can
-  // reproduce the turn's added length as count(label + rendered row).
-  const std::string tail = session_segment_label(sessions_->kind, a.turn) +
-                           query::render_row_json(t, a.row, fo);
-  tokenizer::global_tokenizer().encode_append(tail, prompt);
+  // The turn adds the tokens of label + render_row_json(t, a.row, fo): the
+  // label's, then the row's segments, whose `{` absorbs the whitespace
+  // the label ends in.
+  const std::string label = session_segment_label(sessions_->kind, a.turn);
+  const query::RowSegments& rows = view_->segments(t);
+  prompt.reserve(prompt.size() + label.size() + rows.count(a.row, fo));
+  tokenizer::global_tokenizer().encode_append(label, prompt);
+  rows.append(a.row, fo, prompt, tokenizer::ends_in_space(label));
   return prompt;
 }
 
@@ -192,15 +195,17 @@ void finalize_emitted(OnlineRunResult& out, const table::Table& t,
                       const std::vector<Arrival>& arrivals,
                       const OnlineConfig& config,
                       std::vector<std::size_t> emitted_rows,
-                      std::vector<std::vector<std::size_t>> emitted_fields) {
+                      std::vector<std::vector<std::size_t>> emitted_fields,
+                      std::shared_ptr<query::EncodedView> view) {
   out.latency = summarize_latency(out.requests, config.ttft_slo_seconds);
   out.per_class = summarize_by_class(out.requests, config.ttft_slo_seconds);
   out.emitted =
       core::Ordering(std::move(emitted_rows), std::move(emitted_fields));
-  std::vector<std::size_t> arrival_rows;
+  std::vector<std::uint32_t> arrival_rows;
   arrival_rows.reserve(arrivals.size());
   for (const Arrival& a : arrivals) arrival_rows.push_back(a.row);
-  out.phc = core::phc(t.take_rows(arrival_rows), out.emitted,
+  if (!view) view = std::make_shared<query::EncodedView>(t);
+  out.phc = core::phc(view->codes(t), arrival_rows, out.emitted,
                       config.scheduler.ggr.measure);
 }
 

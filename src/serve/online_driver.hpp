@@ -12,6 +12,7 @@
 // of the public API.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -84,13 +85,19 @@ class ArrivalFeed {
 /// think-time gap) -> on_complete (materialize the child arrival at
 /// finish + gap and precompute its prompt prefix = parent prompt +
 /// synthetic output) -> make_child_prompt at the child's own dispatch
-/// (prefix + segment label + the follow-up row rendered with the child's
-/// planned field order). Inactive (null sessions) trackers no-op.
+/// (prefix + segment label + the follow-up row with the child's planned
+/// field order, from `view`'s segments). Inactive (null sessions)
+/// trackers no-op.
 class SessionTracker {
  public:
-  explicit SessionTracker(const SessionWorkload* sessions)
+  /// `view` is the run's encoded view (null: the tracker's own, bound to
+  /// the first table it is handed).
+  explicit SessionTracker(const SessionWorkload* sessions,
+                          std::shared_ptr<query::EncodedView> view = nullptr)
       : sessions_(sessions),
-        next_id_(sessions != nullptr ? sessions->roots.size() : 0) {}
+        next_id_(sessions != nullptr ? sessions->roots.size() : 0),
+        view_(view ? std::move(view)
+                   : std::make_shared<query::EncodedView>()) {}
 
   bool active() const { return sessions_ != nullptr; }
 
@@ -130,6 +137,7 @@ class SessionTracker {
 
   const SessionWorkload* sessions_;
   std::uint64_t next_id_ = 0;
+  std::shared_ptr<query::EncodedView> view_;
   std::unordered_map<std::uint64_t, SpawnCtx> ctx_;  // by parent id
   /// Child id -> parent prompt + synthetic parent output: the token-exact
   /// prefix contract the session property tests (and audit_trace) pin.
@@ -140,17 +148,24 @@ class SessionTracker {
 /// Per-tenant prompt encoders, built lazily: each tenant's instruction
 /// prefix differs, so rows share the instruction prefix only within a
 /// tenant — the structure that makes Tenant-GGR partitioning (and
-/// tenant-affine routing) matter.
+/// tenant-affine routing) matter. Every tenant's encoder reads one view:
+/// `view`, the run's (null: the map's own, bound to the first table
+/// encoded).
 class EncoderMap {
  public:
-  explicit EncoderMap(const query::PromptTemplate& base) : base_(base) {}
+  explicit EncoderMap(const query::PromptTemplate& base,
+                      std::shared_ptr<query::EncodedView> view = nullptr)
+      : base_(base),
+        view_(view ? std::move(view)
+                   : std::make_shared<query::EncodedView>()) {}
 
   query::PromptEncoder& for_tenant(std::uint32_t tenant) {
     auto it = encoders_.find(tenant);
     if (it == encoders_.end()) {
       query::PromptTemplate tmpl = base_;
       tmpl.system_prompt += " [tenant " + std::to_string(tenant) + "]";
-      it = encoders_.emplace(tenant, query::PromptEncoder(std::move(tmpl)))
+      it = encoders_
+               .emplace(tenant, query::PromptEncoder(std::move(tmpl), view_))
                .first;
     }
     return it->second;
@@ -158,6 +173,7 @@ class EncoderMap {
 
  private:
   query::PromptTemplate base_;
+  std::shared_ptr<query::EncodedView> view_;
   std::unordered_map<std::uint32_t, query::PromptEncoder> encoders_;
 };
 
@@ -177,12 +193,15 @@ ServedRequest stitch(const llm::RequestResult& res, const InFlight& f);
 void count_tenant(std::vector<std::size_t>& per_tenant, std::uint32_t tenant);
 
 /// Latency/per-class summaries, the emitted Ordering, and PHC over the
-/// arrival-ordered rows — identical across drivers by construction.
+/// arrival-ordered rows — identical across drivers by construction. PHC
+/// reads `view`, the run's encoded view of `t` (null: the call encodes
+/// `t` itself).
 void finalize_emitted(OnlineRunResult& out, const table::Table& t,
                       const std::vector<Arrival>& arrivals,
                       const OnlineConfig& config,
                       std::vector<std::size_t> emitted_rows,
-                      std::vector<std::vector<std::size_t>> emitted_fields);
+                      std::vector<std::vector<std::size_t>> emitted_fields,
+                      std::shared_ptr<query::EncodedView> view = nullptr);
 
 /// The fleet event loop: frontier -> gauge sample -> feed -> dispatch due
 /// windows -> execute -> idle jump / final flush. With `epochs` null the

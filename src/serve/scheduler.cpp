@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -20,8 +21,12 @@ std::string to_string(Policy p) {
 
 OnlineScheduler::OnlineScheduler(const table::Table& t,
                                  const table::FdSet& fds,
-                                 SchedulerOptions options)
-    : table_(t), fds_(fds), opt_(std::move(options)) {
+                                 SchedulerOptions options,
+                                 std::shared_ptr<query::EncodedView> view)
+    : table_(t),
+      fds_(fds),
+      view_(view ? std::move(view) : std::make_shared<query::EncodedView>(t)),
+      opt_(std::move(options)) {
   // With no row bound and no wait deadline, ready() can never fire and the
   // whole stream silently degrades into one end-of-stream flush batch.
   // That configuration is always a bug; reject it up front.
@@ -118,12 +123,10 @@ void OnlineScheduler::plan_into(Window& w, std::vector<Arrival> batch) const {
       break;
     }
     case Policy::WindowedGgr: {
-      std::vector<std::size_t> rows;
+      std::vector<std::uint32_t> rows;
       rows.reserve(batch.size());
       for (const auto& a : batch) rows.push_back(a.row);
-      const table::Table sub = table_.take_rows(rows);
-      const core::GgrResult res = core::ggr(sub, fds_, opt_.ggr);
-      w.solve_seconds += res.solve_seconds;
+      const core::GgrResult res = plan_rows(w, rows);
       for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
         w.arrivals.push_back(batch[res.ordering.row_at(pos)]);
         w.field_orders.push_back(res.ordering.fields_at(pos));
@@ -141,12 +144,10 @@ void OnlineScheduler::plan_into(Window& w, std::vector<Arrival> batch) const {
       }
       for (std::uint32_t tenant : tenant_order) {
         const std::vector<std::size_t>& idx = groups[tenant];
-        std::vector<std::size_t> rows;
+        std::vector<std::uint32_t> rows;
         rows.reserve(idx.size());
         for (std::size_t i : idx) rows.push_back(batch[i].row);
-        const table::Table sub = table_.take_rows(rows);
-        const core::GgrResult res = core::ggr(sub, fds_, opt_.ggr);
-        w.solve_seconds += res.solve_seconds;
+        const core::GgrResult res = plan_rows(w, rows);
         for (std::size_t pos = 0; pos < res.ordering.num_rows(); ++pos) {
           w.arrivals.push_back(batch[idx[res.ordering.row_at(pos)]]);
           w.field_orders.push_back(res.ordering.fields_at(pos));
@@ -155,6 +156,16 @@ void OnlineScheduler::plan_into(Window& w, std::vector<Arrival> batch) const {
       break;
     }
   }
+}
+
+core::GgrResult OnlineScheduler::plan_rows(
+    Window& w, std::span<const std::uint32_t> rows) const {
+  const auto start = std::chrono::steady_clock::now();
+  core::GgrResult res = core::ggr(view_->codes(table_), rows, fds_, opt_.ggr);
+  w.solve_seconds += std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  return res;
 }
 
 }  // namespace llmq::serve

@@ -27,12 +27,15 @@
 // to offline windowed_ggr (see tests/serve/).
 
 #include <deque>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/ggr.hpp"
 #include "obs/trace.hpp"
+#include "query/prompt.hpp"
 #include "serve/length_predictor.hpp"
 #include "serve/workload.hpp"
 #include "table/fd.hpp"
@@ -90,9 +93,12 @@ struct Window {
 class OnlineScheduler {
  public:
   /// `t` backs the arrivals' row indices; both `t` and `fds` must outlive
-  /// the scheduler.
+  /// the scheduler. The GGR policies plan windows as spans of `t`'s rows
+  /// on `view`, the run's encoded view of `t` (null: the scheduler's own);
+  /// it is built at the first planned window, so Fifo never builds it.
   OnlineScheduler(const table::Table& t, const table::FdSet& fds,
-                  SchedulerOptions options);
+                  SchedulerOptions options,
+                  std::shared_ptr<query::EncodedView> view = nullptr);
 
   /// Buffer one arrival. Arrivals must be pushed in time order.
   void push(const Arrival& a);
@@ -136,9 +142,14 @@ class OnlineScheduler {
   /// emission to `w`. With spjf + a live predictor, stable-sorts the
   /// batch by predicted length first (ties keep arrival order).
   void plan_into(Window& w, std::vector<Arrival> batch) const;
+  /// GGR over the table rows `rows`; adds the planner's wall time (with
+  /// the view's encode, at the first window) to w.solve_seconds.
+  core::GgrResult plan_rows(Window& w,
+                            std::span<const std::uint32_t> rows) const;
 
   const table::Table& table_;
   const table::FdSet& fds_;
+  std::shared_ptr<query::EncodedView> view_;
   SchedulerOptions opt_;
   std::deque<Arrival> buffer_;
   obs::TraceSink* trace_ = nullptr;

@@ -1,10 +1,10 @@
 #pragma once
 // Columnar in-memory table.
 //
-// The substrate the reordering algorithms, query executor, and dataset
-// generators operate on. Column-major storage mirrors how analytical
-// engines hold data and makes per-column scans (distinct-value grouping,
-// statistics) cache-friendly — these scans dominate GGR's runtime.
+// The substrate the query executor and dataset generators operate on.
+// Column-major storage mirrors how analytical engines hold data. The
+// planners do not scan these strings: they run on a dictionary-encoded
+// view built once per run (core/encoded_table.hpp).
 
 #include <cstddef>
 #include <string>

@@ -121,6 +121,11 @@ const Tokenizer& global_tokenizer() {
   return tok;
 }
 
+bool ends_in_space(std::string_view text) {
+  return !text.empty() &&
+         kByteClass[static_cast<unsigned char>(text.back())] == kSpace;
+}
+
 std::size_t common_prefix_len(const TokenSeq& a, const TokenSeq& b) {
   const std::size_t n = std::min(a.size(), b.size());
   return util::token_ops::lcp(a.data(), b.data(), n);

@@ -55,6 +55,11 @@ class Tokenizer {
 /// Process-wide tokenizer.
 const Tokenizer& global_tokenizer();
 
+/// True when `text` ends in whitespace. The tokenizer folds a whitespace
+/// run into the next token's space prefix, so a punctuation byte right
+/// after such text tokenizes as its space-prefixed piece.
+bool ends_in_space(std::string_view text);
+
 /// Length of the longest common prefix of two token sequences.
 std::size_t common_prefix_len(const TokenSeq& a, const TokenSeq& b);
 

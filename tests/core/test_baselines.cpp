@@ -57,13 +57,6 @@ TEST(Baselines, RandomOrderingValidates) {
     EXPECT_TRUE(random_ordering(t, rng).validate(4, 2));
 }
 
-TEST(Baselines, SuborderingCoversRequestedRows) {
-  const auto t = sample();
-  const auto sub = stats_fixed_subordering(t, {0, 3}, {0, 1});
-  EXPECT_EQ(sub.row_order.size(), 2u);
-  EXPECT_EQ(sub.field_order.size(), 2u);
-}
-
 TEST(PolicyFacade, RoundTripNames) {
   for (Policy p : {Policy::Original, Policy::SortedFixed, Policy::StatsFixed,
                    Policy::Ggr, Policy::Ophr}) {

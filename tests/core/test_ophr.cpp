@@ -30,7 +30,14 @@ double brute_force_max_phc(const Table& t, LengthMeasure measure) {
     field_perms.push_back(fields);
   } while (std::next_permutation(fields.begin(), fields.end()));
 
-  const CellLengths lengths(t, measure);
+  // Lengths straight from the strings, independent of the encoded view.
+  const auto sq_len = [&](std::size_t r, std::size_t c) {
+    const double l =
+        measure == LengthMeasure::Unit
+            ? 1.0
+            : static_cast<double>(tokenizer::global_tokenizer().count(t.cell(r, c)));
+    return l * l;
+  };
   double best = 0.0;
   do {
     // For a fixed row order, the optimal per-row field permutation can be
@@ -49,7 +56,7 @@ double brute_force_max_phc(const Table& t, LengthMeasure measure) {
             const auto cc = field_perms[cur][f];
             if (pc != cc) break;
             if (t.cell(rows[pos], cc) != t.cell(rows[pos - 1], pc)) break;
-            hit += lengths.sq_len(rows[pos], cc);
+            hit += sq_len(rows[pos], cc);
           }
           next[cur] = std::max(next[cur], dp[prev] + hit);
         }
