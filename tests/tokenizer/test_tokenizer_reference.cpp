@@ -1,5 +1,6 @@
 // The vocabulary is pinned: every id the tokenizer emits must equal the
-// one produced by the original, straightforward implementation below
+// one produced by the original, straightforward implementation in
+// reference_tokenizer.hpp
 // (locale classifiers, one util::hash64 per piece string), with the
 // shipped configuration: pieces of at most 6 bytes, space prefix on.
 // Prefix caching, the golden benches and every planner length depend on
@@ -15,89 +16,12 @@
 #include <string_view>
 #include <vector>
 
+#include "reference_tokenizer.hpp"
 #include "tokenizer/tokenizer.hpp"
 #include "util/rng.hpp"
 
 namespace llmq::tokenizer {
 namespace {
-
-// ---- Reference implementation (kept verbatim; do not optimize). ----
-
-constexpr std::size_t kMaxPieceChars = 6;
-
-enum class CharClass { Alnum, Space, Punct };
-
-CharClass classify(unsigned char c) {
-  if (std::isalnum(c)) return CharClass::Alnum;
-  if (std::isspace(c)) return CharClass::Space;
-  return CharClass::Punct;
-}
-
-TokenId piece_id(std::string_view piece) {
-  return static_cast<TokenId>(util::hash64(piece.data(), piece.size()));
-}
-
-template <typename Sink>
-void tokenize_pieces(std::string_view text, Sink&& sink) {
-  std::size_t i = 0;
-  const std::size_t n = text.size();
-  bool pending_space = false;
-  while (i < n) {
-    const CharClass cls = classify(static_cast<unsigned char>(text[i]));
-    if (cls == CharClass::Space) {
-      // Collapse runs of whitespace into a space-prefix on the next token.
-      std::size_t j = i;
-      while (j < n && classify(static_cast<unsigned char>(text[j])) ==
-                          CharClass::Space)
-        ++j;
-      pending_space = true;
-      i = j;
-      continue;
-    }
-    if (cls == CharClass::Punct) {
-      // Each punctuation char is its own token (absorbing a pending space).
-      if (pending_space) {
-        char buf[2] = {' ', text[i]};
-        sink(std::string_view(buf, 2));
-        pending_space = false;
-      } else {
-        sink(text.substr(i, 1));
-      }
-      ++i;
-      continue;
-    }
-    // Alphanumeric run.
-    std::size_t j = i;
-    while (j < n &&
-           classify(static_cast<unsigned char>(text[j])) == CharClass::Alnum)
-      ++j;
-    std::size_t pos = i;
-    bool first_piece = true;
-    while (pos < j) {
-      const std::size_t take = std::min(kMaxPieceChars, j - pos);
-      if (first_piece && pending_space) {
-        std::string with_space;
-        with_space.reserve(take + 1);
-        with_space += ' ';
-        with_space.append(text.substr(pos, take));
-        sink(std::string_view(with_space));
-        pending_space = false;
-      } else {
-        sink(text.substr(pos, take));
-      }
-      first_piece = false;
-      pos += take;
-    }
-    i = j;
-  }
-}
-
-TokenSeq reference_encode(std::string_view text) {
-  TokenSeq out;
-  tokenize_pieces(text,
-                  [&](std::string_view piece) { out.push_back(piece_id(piece)); });
-  return out;
-}
 
 // ---- Inputs. ----
 
