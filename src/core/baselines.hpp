@@ -1,6 +1,7 @@
 #pragma once
-// Baseline orderings (paper §6.1.3), among them the stats-ranked fixed
-// ordering that GGR's early-stop fallback (§4.2.2) applies to a sub-view.
+// Baseline orderings (paper §6.1.3). GGR's early-stop fallback (§4.2.2)
+// ranks a sub-view's fields the way stats_fixed_ordering ranks a table's
+// (core/ggr.cpp).
 
 #include "core/ordering.hpp"
 #include "table/stats.hpp"
@@ -16,7 +17,7 @@ Ordering original_ordering(const table::Table& t);
 /// Fixed field ordering ranked by expected PHC contribution
 /// (E[len_tokens]^2 * (n/cardinality - 1), table/stats.hpp), with rows
 /// sorted lexicographically under that field priority: a strong fixed-order
-/// baseline, and what GGR's fallback does to the rows it stops on.
+/// baseline.
 Ordering stats_fixed_ordering(const table::Table& t);
 
 /// Rows sorted lexicographically with the *original* field order (ablation:
