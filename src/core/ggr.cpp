@@ -164,25 +164,6 @@ class GgrSolver {
     return res;
   }
 
-  /// Exact PHC of the emitted plans (the metric of core/phc.hpp, read off
-  /// the span's codes).
-  double phc_of(const std::vector<RowPlan>& plans) const {
-    double total = 0.0;
-    for (std::size_t pos = 1; pos < plans.size(); ++pos) {
-      const RowPlan& cur = plans[pos];
-      const RowPlan& prev = plans[pos - 1];
-      double hit = 0.0;
-      for (std::size_t f = 0; f < m_; ++f) {
-        const std::size_t col = cur.fields[f];
-        if (col != prev.fields[f]) break;
-        if (code(cur.row, col) != code(prev.row, col)) break;
-        hit += sq_len(cur.row, col);
-      }
-      total += hit;
-    }
-    return total;
-  }
-
  private:
   std::uint32_t code(std::size_t row, std::size_t col) const {
     return code_[col * n_ + row];
@@ -392,7 +373,6 @@ GgrResult ggr(const EncodedTable& v, std::span<const std::uint32_t> rows,
   NodeResult res = solver.solve(positions, cols, 0, 0);
 
   out.estimated_phc = res.s;
-  out.phc = solver.phc_of(res.plans);
   std::vector<std::size_t> row_order;
   std::vector<std::vector<std::size_t>> field_orders;
   row_order.reserve(res.plans.size());
@@ -402,6 +382,7 @@ GgrResult ggr(const EncodedTable& v, std::span<const std::uint32_t> rows,
     field_orders.push_back(std::move(p.fields));
   }
   out.ordering = Ordering(std::move(row_order), std::move(field_orders));
+  out.phc = phc(v, rows, out.ordering, options.measure);
   out.solve_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   return out;

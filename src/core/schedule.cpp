@@ -26,10 +26,10 @@ std::optional<Policy> policy_from_string(const std::string& name) {
   return std::nullopt;
 }
 
-Plan plan_ordering(const EncodedTable& v, const table::FdSet& fds,
-                   const PlanRequest& req) {
+Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
+                   const PlanRequest& req,
+                   const std::function<const EncodedTable&()>& codes) {
   using Clock = std::chrono::steady_clock;
-  const table::Table& t = v.table();
   Plan out;
   const auto start = Clock::now();
   switch (req.policy) {
@@ -43,23 +43,21 @@ Plan plan_ordering(const EncodedTable& v, const table::FdSet& fds,
       out.ordering = stats_fixed_ordering(t);
       break;
     case Policy::Ggr: {
+      const EncodedTable& v = codes();
       GgrResult r = ggr(v, all_rows(v.num_rows()), fds, req.ggr);
       out.ordering = std::move(r.ordering);
       out.planner_phc = r.phc;
-      out.solver_seconds = r.solve_seconds;
-      return out;
+      break;
     }
-    case Policy::Ophr: {
-      if (auto r = ophr(v, req.ophr)) {
+    case Policy::Ophr:
+      if (auto r = ophr(codes(), req.ophr)) {
         out.ordering = std::move(r->ordering);
         out.planner_phc = r->phc;
-        out.solver_seconds = r->solve_seconds;
       } else {
         out.ordering = original_ordering(t);
         out.timed_out = true;
       }
-      return out;
-    }
+      break;
   }
   out.solver_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
@@ -68,7 +66,9 @@ Plan plan_ordering(const EncodedTable& v, const table::FdSet& fds,
 
 Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
                    const PlanRequest& req) {
-  return plan_ordering(EncodedTable(t), fds, req);
+  std::optional<EncodedTable> v;
+  return plan_ordering(t, fds, req,
+                       [&]() -> const EncodedTable& { return v.emplace(t); });
 }
 
 }  // namespace llmq::core

@@ -7,6 +7,7 @@
 // for the paper's method axis {No Cache, Cache (Original), Cache (GGR)}
 // plus the extra baselines used in ablations.
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -43,13 +44,17 @@ struct Plan {
   bool timed_out = false;    // OPHR only
 };
 
-/// Plan a request schedule for the encoded table `v` under `req`. For
-/// OPHR, a timeout yields `timed_out=true` with the Original ordering as a
-/// safe fallback.
-Plan plan_ordering(const EncodedTable& v, const table::FdSet& fds,
-                   const PlanRequest& req);
+/// Plan a request schedule for `t` under `req`. For OPHR, a timeout yields
+/// `timed_out=true` with the Original ordering as a safe fallback. The
+/// baselines read only `t`; GGR and OPHR read `t`'s codes from `codes`
+/// (a run's shared view builds them at first use), called inside the
+/// timer, so `solver_seconds` counts an encode the call triggers, as it
+/// counts the one `ggr(const Table&, ...)` does.
+Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
+                   const PlanRequest& req,
+                   const std::function<const EncodedTable&()>& codes);
 
-/// Encodes `t`, then plans it.
+/// As above, encoding `t` for GGR and OPHR only.
 Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
                    const PlanRequest& req);
 

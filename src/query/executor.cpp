@@ -36,8 +36,9 @@ StagePrep prepare_stage(const table::Table& t, const table::FdSet& fds,
   // 1. Plan the request ordering over exactly the fields the operator
   //    touches (§3.1: the optimizer may permute fields within the LLM's
   //    field-expression list).
-  prep.plan =
-      core::plan_ordering(view->codes(prep.table), fds, config.planner);
+  prep.plan = core::plan_ordering(
+      prep.table, fds, config.planner,
+      [&]() -> const core::EncodedTable& { return view->codes(prep.table); });
 
   // 2. Materialize requests + task answers.
   LlmOperatorSpec op;

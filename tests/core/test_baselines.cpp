@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/phc.hpp"
 #include "core/schedule.hpp"
 
@@ -78,6 +80,33 @@ TEST(PolicyFacade, PlansEveryPolicy) {
     const auto plan = plan_ordering(t, fds, req);
     EXPECT_TRUE(plan.ordering.validate(4, 2)) << to_string(p);
     EXPECT_FALSE(plan.timed_out);
+  }
+}
+
+TEST(PolicyFacade, OnlyThePlannersReadCodes) {
+  // The baselines read the table alone; GGR and OPHR ask for the codes
+  // once, and plan the same ordering as the encoding overload.
+  const auto t = sample();
+  const table::FdSet fds;
+  for (Policy p : {Policy::Original, Policy::SortedFixed, Policy::StatsFixed,
+                   Policy::Ggr, Policy::Ophr}) {
+    PlanRequest req;
+    req.policy = p;
+    std::optional<EncodedTable> v;
+    int calls = 0;
+    const auto plan =
+        plan_ordering(t, fds, req, [&]() -> const EncodedTable& {
+          ++calls;
+          return v.emplace(t);
+        });
+    const bool planner = p == Policy::Ggr || p == Policy::Ophr;
+    EXPECT_EQ(calls, planner ? 1 : 0) << to_string(p);
+    const auto again = plan_ordering(t, fds, req);
+    for (std::size_t pos = 0; pos < t.num_rows(); ++pos) {
+      EXPECT_EQ(plan.ordering.row_at(pos), again.ordering.row_at(pos));
+      EXPECT_EQ(plan.ordering.fields_at(pos), again.ordering.fields_at(pos));
+    }
+    EXPECT_EQ(plan.planner_phc, again.planner_phc) << to_string(p);
   }
 }
 
