@@ -5,9 +5,9 @@
 //   --scale <f>   fraction of the paper's dataset sizes (default 0.1)
 //   --seed <s>    dataset seed (default 42)
 //   --full        shorthand for --scale 1.0
-// and, only where its main() declares the output (bench::Outputs):
 //   --json <path> also write results as machine-readable JSON (the
 //                 BENCH_*.json perf-trajectory format; see JsonReport)
+// and, only where its main() declares the output (bench::Outputs):
 //   --trace <path> write a Perfetto trace of one representative run
 // Any other argument is an error (usage on stderr, exit status 2), and an
 // output file that cannot be written exits 1.
@@ -60,27 +60,27 @@ struct BenchOptions {
   }
 };
 
-/// The files a bench writes besides its stdout tables. A bench accepts
-/// --json / --trace only when it declares the output, so asking one for a
-/// file it never writes is a usage error rather than a silent no-op.
+/// The files a bench writes besides its stdout tables and its JsonReport
+/// (--json, which every bench writes). A bench accepts --trace only when it
+/// declares the output, so asking one for a trace it never writes is a
+/// usage error rather than a silent no-op.
 struct Outputs {
-  bool json = false;   // --json <path>: a JsonReport
   bool trace = false;  // --trace <path>: a Perfetto trace (write_trace)
 };
-inline constexpr Outputs kStdoutOnly{};
-inline constexpr Outputs kJson{.json = true};
-inline constexpr Outputs kJsonAndTrace{.json = true, .trace = true};
+inline constexpr Outputs kJson{};
+inline constexpr Outputs kJsonAndTrace{.trace = true};
 
 inline void print_usage(std::FILE* out, const char* prog, Outputs outputs) {
-  std::fprintf(out, "usage: %s [--scale f] [--seed s] [--full]%s%s\n", prog,
-               outputs.json ? " [--json path]" : "",
-               outputs.trace ? " [--trace path]" : "");
+  std::fprintf(out,
+               "usage: %s [--scale f] [--seed s] [--full] [--json path]%s\n",
+               prog, outputs.trace ? " [--trace path]" : "");
 }
 
-/// Parse the shared flags, plus --json / --trace where `outputs` allows
-/// them. An unknown or undeclared flag, a flag missing its value, a
+/// Parse the shared flags and --json, plus --trace where `outputs` allows
+/// it. An unknown or undeclared flag, a flag missing its value, a
 /// malformed number, or --scale <= 0 prints the usage line on stderr and
-/// exits with status 2: a typo never runs the default config.
+/// exits with status 2: a typo never runs the default config. A --json
+/// file that cannot be opened for writing exits 1.
 inline BenchOptions parse_options(int argc, char** argv, Outputs outputs) {
   BenchOptions opt;
   const auto usage_error = [&](const char* what, const char* arg) {
@@ -110,7 +110,7 @@ inline BenchOptions parse_options(int argc, char** argv, Outputs outputs) {
         usage_error("--seed needs a non-negative integer, got", v);
     } else if (std::strcmp(flag, "--full") == 0) {
       opt.scale = 1.0;
-    } else if (outputs.json && std::strcmp(flag, "--json") == 0) {
+    } else if (std::strcmp(flag, "--json") == 0) {
       opt.json_path = value();
     } else if (outputs.trace && std::strcmp(flag, "--trace") == 0) {
       opt.trace_path = value();
@@ -125,6 +125,13 @@ inline BenchOptions parse_options(int argc, char** argv, Outputs outputs) {
     } else {
       usage_error("unknown flag", flag);
     }
+  }
+  // A report that cannot be written fails before the run, not after it
+  // (append mode: an existing file keeps its bytes until JsonReport::write).
+  if (!opt.json_path.empty() && !std::ofstream(opt.json_path, std::ios::app)) {
+    std::fprintf(stderr, "[error: could not write json to %s]\n",
+                 opt.json_path.c_str());
+    std::exit(1);
   }
   return opt;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
@@ -15,13 +16,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-struct Deadline {
-  Clock::time_point end;
-  bool enabled = false;
-  bool expired() const { return enabled && Clock::now() > end; }
-};
-
-struct TimeoutSignal {};
+struct BudgetSpent {};
 
 /// One emitted row: original row index + field order (original col ids).
 struct RowPlan {
@@ -54,11 +49,14 @@ struct ViewKeyHash {
 
 class Solver {
  public:
-  Solver(const EncodedTable& v, LengthMeasure measure, Deadline deadline)
-      : v_(v), measure_(measure), deadline_(deadline) {}
+  Solver(const EncodedTable& v, LengthMeasure measure, std::size_t max_nodes)
+      : v_(v),
+        measure_(measure),
+        max_nodes_(max_nodes ? max_nodes
+                             : std::numeric_limits<std::size_t>::max()) {}
 
   NodeResult solve(const ViewKey& key) {
-    if (deadline_.expired()) throw TimeoutSignal{};
+    if (nodes_ == max_nodes_) throw BudgetSpent{};
     ++nodes_;
     if (auto it = memo_.find(key); it != memo_.end()) {
       ++memo_hits_;
@@ -180,7 +178,7 @@ class Solver {
 
   const EncodedTable& v_;
   LengthMeasure measure_;
-  Deadline deadline_;
+  std::size_t max_nodes_;
   std::unordered_map<ViewKey, NodeResult, ViewKeyHash> memo_;
   std::size_t nodes_ = 0;
   std::size_t memo_hits_ = 0;
@@ -205,14 +203,7 @@ std::optional<OphrResult> ophr(const EncodedTable& v,
   if (v.num_rows() == 0)
     throw std::invalid_argument("ophr: empty table");
   const auto start = Clock::now();
-  Deadline deadline;
-  if (options.time_budget_seconds > 0.0) {
-    deadline.enabled = true;
-    deadline.end = start + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(
-                                   options.time_budget_seconds));
-  }
-  Solver solver(v, options.measure, deadline);
+  Solver solver(v, options.measure, options.max_nodes);
 
   ViewKey root;
   root.rows = all_rows(v.num_rows());
@@ -228,7 +219,7 @@ std::optional<OphrResult> ophr(const EncodedTable& v,
     out.solve_seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
     return out;
-  } catch (const TimeoutSignal&) {
+  } catch (const BudgetSpent&) {
     return std::nullopt;
   }
 }

@@ -5,10 +5,12 @@
 // group; splits the table into (rows without the value, all fields) and
 // (rows with the value, remaining fields); and takes the best total. The
 // complexity is exponential in table size — the paper notes a 10-row table
-// can take minutes — so the solver carries a wall-clock budget and reports
-// failure instead of running unbounded (mirroring the paper's 2-hour cap
-// in Appendix D.1). Sub-problems are memoized on (row set, field set),
-// which makes the small instances used for validation tractable.
+// can take minutes — so the solver carries a budget of sub-problems and
+// reports failure instead of running unbounded. The paper caps it at 2 h
+// of wall clock (Appendix D.1); a node budget gives up on the same input
+// on every host, so the solver stays a pure function of its input.
+// Sub-problems are memoized on (row set, field set), which makes the
+// small instances used for validation tractable.
 
 #include <optional>
 
@@ -21,8 +23,9 @@ namespace llmq::core {
 
 struct OphrOptions {
   LengthMeasure measure = LengthMeasure::Tokens;
-  /// Give up after this much wall-clock time (seconds); <=0 means no limit.
-  double time_budget_seconds = 0.0;
+  /// Give up after solving this many sub-problems (memo hits included,
+  /// as in `nodes_explored`); 0 means no limit.
+  std::size_t max_nodes = 0;
 };
 
 struct OphrResult {
@@ -33,7 +36,7 @@ struct OphrResult {
   double solve_seconds = 0.0;
 };
 
-/// Returns nullopt iff the time budget expired.
+/// Returns nullopt iff the node budget ran out.
 std::optional<OphrResult> ophr(const EncodedTable& v,
                                const OphrOptions& options = {});
 

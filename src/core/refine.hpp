@@ -11,7 +11,7 @@
 //     three affected adjacency hits improve in total.
 //
 // This quantifies how much of the GGR→OPHR gap cheap local search can
-// close (bench_ablation_ggr reports GGR vs GGR+refine).
+// close (bench_paper's ablation reports GGR vs GGR+refine).
 
 #include "core/ordering.hpp"
 #include "core/phc.hpp"

@@ -55,7 +55,7 @@ Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
         out.planner_phc = r->phc;
       } else {
         out.ordering = original_ordering(t);
-        out.timed_out = true;
+        out.budget_exhausted = true;
       }
       break;
   }

@@ -41,15 +41,17 @@ struct Plan {
   Ordering ordering;
   double solver_seconds = 0.0;
   double planner_phc = 0.0;  // PHC as reported by the planner (0 baselines)
-  bool timed_out = false;    // OPHR only
+  // OPHR only: the solver spent `req.ophr.max_nodes` without finishing,
+  // and `ordering` is the Original fallback.
+  bool budget_exhausted = false;
 };
 
-/// Plan a request schedule for `t` under `req`. For OPHR, a timeout yields
-/// `timed_out=true` with the Original ordering as a safe fallback. The
-/// baselines read only `t`; GGR and OPHR read `t`'s codes from `codes`
-/// (a run's shared view builds them at first use), called inside the
-/// timer, so `solver_seconds` counts an encode the call triggers, as it
-/// counts the one `ggr(const Table&, ...)` does.
+/// Plan a request schedule for `t` under `req`. For OPHR, an exhausted
+/// node budget yields `budget_exhausted=true` with the Original ordering
+/// as a safe fallback. The baselines read only `t`; GGR and OPHR read
+/// `t`'s codes from `codes` (a run's shared view builds them at first
+/// use), called inside the timer, so `solver_seconds` counts an encode the
+/// call triggers, as it counts the one `ggr(const Table&, ...)` does.
 Plan plan_ordering(const table::Table& t, const table::FdSet& fds,
                    const PlanRequest& req,
                    const std::function<const EncodedTable&()>& codes);

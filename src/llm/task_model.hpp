@@ -33,7 +33,7 @@ struct ModelProfile {
   std::uint64_t seed = 0;
 };
 
-/// Profiles tuned to reproduce Fig 6's shape (see bench_fig6_accuracy).
+/// Profiles tuned to reproduce Fig 6's shape (see bench_paper's fig6).
 ModelProfile profile_llama3_8b();
 ModelProfile profile_llama3_70b();
 ModelProfile profile_gpt4o();

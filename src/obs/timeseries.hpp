@@ -34,10 +34,6 @@ struct GaugeSample {
   std::uint64_t parked = 0;           // preempted, awaiting resume
   std::uint64_t outstanding_prompt_tokens = 0;
   double rolling_phr = 0.0;  // cumulative prefix hit rate so far
-
-  std::uint64_t kv_used_blocks() const {
-    return kv_resident_blocks + kv_private_blocks + kv_reserved_blocks;
-  }
 };
 
 /// Columnar sample buffer: row i is (time[i], replica[i], gauges...).

@@ -9,36 +9,28 @@
 
 namespace llmq::query {
 
-namespace {
-
-/// Project `t` to the stage's field expressions ({T.*} when empty) and
-/// carry the truth labels along.
-table::Table stage_table(const table::Table& t,
-                         const std::vector<std::string>& fields) {
-  if (fields.empty()) return t;
-  return t.project(fields);
-}
-
-}  // namespace
-
 StagePrep prepare_stage(const table::Table& t, const table::FdSet& fds,
                         const data::QuerySpec& spec,
                         const data::StageSpec& stage,
                         const std::vector<std::string>& truth,
                         const std::string& key_field,
                         const ExecConfig& config) {
-  StagePrep prep;
-  prep.table = stage_table(t, stage.fields);
+  // The stage's field expressions: {T.*} (no fields) is `t` itself; a
+  // projection lives for this call only.
+  std::optional<table::Table> projected;
+  if (!stage.fields.empty()) projected.emplace(t.project(stage.fields));
+  const table::Table& st = projected ? *projected : t;
   // The stage table's encoded view, shared by the planner and the prompt
   // builder; it lives for this call only.
-  const auto view = std::make_shared<EncodedView>(prep.table);
+  const auto view = std::make_shared<EncodedView>(st);
 
   // 1. Plan the request ordering over exactly the fields the operator
   //    touches (§3.1: the optimizer may permute fields within the LLM's
   //    field-expression list).
+  StagePrep prep;
   prep.plan = core::plan_ordering(
-      prep.table, fds, config.planner,
-      [&]() -> const core::EncodedTable& { return view->codes(prep.table); });
+      st, fds, config.planner,
+      [&]() -> const core::EncodedTable& { return view->codes(st); });
 
   // 2. Materialize requests + task answers.
   LlmOperatorSpec op;
@@ -49,8 +41,8 @@ StagePrep prepare_stage(const table::Table& t, const table::FdSet& fds,
   op.key_field = key_field;
   op.position_sensitivity = spec.position_sensitivity;
   const llm::TaskModel task_model(config.model_profile);
-  prep.ops = build_requests(prep.table, prep.plan.ordering, op, task_model,
-                            truth, view);
+  prep.ops =
+      build_requests(st, prep.plan.ordering, op, task_model, truth, view);
   return prep;
 }
 
@@ -64,7 +56,7 @@ StageRun run_stage(const table::Table& t, const table::FdSet& fds,
 
   StageRun out;
   out.metrics.solver_seconds = prep.plan.solver_seconds;
-  out.metrics.rows = prep.table.num_rows();
+  out.metrics.rows = t.num_rows();
 
   // 3. Serve on a private engine (the offline path; the served path in
   //    serve/query_client.hpp executes the same prep on a shared fleet).

@@ -48,13 +48,13 @@ StageRun run_stage(const table::Table& t, const table::FdSet& fds,
                    const std::string& key_field, const ExecConfig& config,
                    cache::PrefixCache* session_cache = nullptr);
 
-/// Everything about a stage up to (but excluding) execution: the stage
-/// projection, the planner's ordering, and the materialized requests +
-/// per-row answers. Only `config.planner` and `config.model_profile` are
-/// consulted — the engine half of the config belongs to whoever executes.
+/// Everything about a stage up to (but excluding) execution: the planner's
+/// ordering over the stage's fields of `t`, and the materialized requests
+/// + per-row answers (one per row of `t`). Only `config.planner` and
+/// `config.model_profile` are consulted — the engine half of the config
+/// belongs to whoever executes.
 struct StagePrep {
-  table::Table table;  // stage projection of the input table
-  core::Plan plan;     // planner output over the stage table
+  core::Plan plan;     // planner output over the stage's fields
   OperatorOutput ops;  // requests in schedule order; answers per row
 };
 StagePrep prepare_stage(const table::Table& t, const table::FdSet& fds,

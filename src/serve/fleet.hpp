@@ -156,10 +156,9 @@ class ReplicaFleet {
     return replicas_[r]->session;
   }
 
-  /// Elasticity observers (constant under a disabled ElasticityConfig:
-  /// every replica active, nothing pending).
+  /// Elasticity observer (constant under a disabled ElasticityConfig:
+  /// every replica active).
   std::size_t active_replicas() const;
-  std::size_t pending_migrations() const { return pending_.size(); }
 
   /// Bind an event sink: each replica session (and its cache) emits on
   /// track r; dispatch() additionally emits a RouteDecision per request

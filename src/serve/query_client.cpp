@@ -309,10 +309,10 @@ class ServedQuery {
         t, qs_.dataset->fds, *qs_.query, stage, truth,
         qs_.dataset->key_field, qs_.config);
     stage_ = StageState{};
-    stage_.answers.assign(prep.table.num_rows(), std::string());
-    stage_.seen.assign(prep.table.num_rows(), false);
+    stage_.answers.assign(t.num_rows(), std::string());
+    stage_.seen.assign(t.num_rows(), false);
     stage_.remaining = prep.ops.requests.size();
-    stage_.metrics.rows = prep.table.num_rows();
+    stage_.metrics.rows = t.num_rows();
     stage_.metrics.solver_seconds = prep.plan.solver_seconds;
     stage_.t0 = t0;
     stage_.last_finish = t0;

@@ -36,6 +36,8 @@ Table Table::take_rows(const std::vector<std::size_t>& row_indices) const {
 }
 
 Table Table::project(const std::vector<std::size_t>& col_indices) const {
+  if (col_indices.empty())
+    throw std::invalid_argument("Table::project: no columns");
   Table out(schema_.project(col_indices));
   for (std::size_t i = 0; i < col_indices.size(); ++i)
     out.columns_[i] = columns_.at(col_indices[i]);

@@ -41,7 +41,10 @@ class Table {
   /// New table with only `row_indices`, in that order.
   Table take_rows(const std::vector<std::size_t>& row_indices) const;
 
-  /// New table with only `col_indices`, in that order.
+  /// New table with only `col_indices`, in that order. An empty list
+  /// throws std::invalid_argument: a table of no columns renders every row
+  /// as `{}`, and is never what a caller meant (a stage's "all fields" is
+  /// the table itself).
   Table project(const std::vector<std::size_t>& col_indices) const;
   Table project(const std::vector<std::string>& col_names) const;
 

@@ -54,28 +54,19 @@ CliRun run_cli(const std::string& bench, const std::string& args) {
 // usage line naming only that bench's flags), never a silent run of the
 // default config. An output file that cannot be written exits 1.
 TEST(BenchCli, BadFlagsExitWithUsageError) {
-  for (const char* bench :
-       {"bench_table2_phr", "bench_fig3a_filter", "bench_chunked_prefill"})
+  for (const char* bench : {"bench_paper", "bench_chunked_prefill"})
     if (!file_exists(std::string(LLMQ_BIN_DIR) + "/" + bench))
       GTEST_SKIP() << bench << " not built (benches disabled?)";
   for (const char* args :
        {"--sclae 0.02", "--scale", "--scale abc", "--trace p"}) {
-    const CliRun run = run_cli("bench_table2_phr", args);
+    const CliRun run = run_cli("bench_paper", args);
     EXPECT_EQ(run.status, 2) << args;
     EXPECT_NE(run.err.find("usage:"), std::string::npos) << args;
     EXPECT_NE(run.err.find("[--json path]"), std::string::npos) << args;
     EXPECT_EQ(run.err.find("--trace path"), std::string::npos) << args;
   }
-  for (const char* args : {"--json p", "--trace p"}) {
-    const CliRun run = run_cli("bench_fig3a_filter", args);
-    EXPECT_EQ(run.status, 2) << args;
-    EXPECT_NE(run.err.find("usage:"), std::string::npos) << args;
-    EXPECT_EQ(run.err.find("--json path"), std::string::npos) << args;
-    EXPECT_EQ(run.err.find("--trace path"), std::string::npos) << args;
-  }
   for (const auto& [bench, args] :
-       {std::pair{"bench_table2_phr",
-                  "--scale 0.02 --json /nonexistent/dir/x.json"},
+       {std::pair{"bench_paper", "--scale 0.01 --json /nonexistent/dir/x.json"},
         std::pair{"bench_chunked_prefill",
                   "--scale 0.01 --trace /nonexistent/dir/t.json"}}) {
     const CliRun run = run_cli(bench, args);

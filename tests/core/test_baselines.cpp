@@ -79,7 +79,7 @@ TEST(PolicyFacade, PlansEveryPolicy) {
     req.ggr.measure = LengthMeasure::Unit;
     const auto plan = plan_ordering(t, fds, req);
     EXPECT_TRUE(plan.ordering.validate(4, 2)) << to_string(p);
-    EXPECT_FALSE(plan.timed_out);
+    EXPECT_FALSE(plan.budget_exhausted);
   }
 }
 
@@ -110,22 +110,33 @@ TEST(PolicyFacade, OnlyThePlannersReadCodes) {
   }
 }
 
-TEST(PolicyFacade, OphrTimeoutFallsBackToOriginal) {
-  // Large-ish table with tiny budget: the facade must not hang and must
-  // return a usable ordering.
-  Table t(Schema::of_names({"a", "b", "c", "d"}));
+TEST(PolicyFacade, OphrOverBudgetFallsBackToOriginal) {
+  // One node short of what the solve needs, the facade gives up and plans
+  // the Original ordering; with exactly enough it plans OPHR's.
+  Table t(Schema::of_names({"a", "b", "c"}));
   util::Rng rng(9);
-  for (int i = 0; i < 14; ++i)
+  for (int i = 0; i < 6; ++i)
     t.append_row({std::string(1, static_cast<char>('a' + rng.next_below(2))),
                   std::string(1, static_cast<char>('a' + rng.next_below(2))),
-                  std::string(1, static_cast<char>('a' + rng.next_below(2))),
                   std::string(1, static_cast<char>('a' + rng.next_below(2)))});
+  const auto solved = ophr(t);
+  ASSERT_TRUE(solved.has_value());
   PlanRequest req;
   req.policy = Policy::Ophr;
-  req.ophr.time_budget_seconds = 0.0005;
+  req.ophr.max_nodes = solved->nodes_explored;
   const auto plan = plan_ordering(t, table::FdSet{}, req);
-  EXPECT_TRUE(plan.timed_out);
-  EXPECT_TRUE(plan.ordering.validate(t.num_rows(), t.num_cols()));
+  EXPECT_FALSE(plan.budget_exhausted);
+  EXPECT_EQ(plan.planner_phc, solved->phc);
+
+  req.ophr.max_nodes = solved->nodes_explored - 1;
+  const auto fallback = plan_ordering(t, table::FdSet{}, req);
+  EXPECT_TRUE(fallback.budget_exhausted);
+  EXPECT_EQ(fallback.planner_phc, 0.0);
+  const auto original = original_ordering(t);
+  for (std::size_t pos = 0; pos < t.num_rows(); ++pos) {
+    EXPECT_EQ(fallback.ordering.row_at(pos), original.row_at(pos));
+    EXPECT_EQ(fallback.ordering.fields_at(pos), original.fields_at(pos));
+  }
 }
 
 }  // namespace

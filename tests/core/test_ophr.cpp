@@ -169,13 +169,28 @@ TEST(Ophr, MatchesBruteForceThreeByThree) {
   }
 }
 
-TEST(Ophr, TimeBudgetExpires) {
-  // A table large enough that exhaustive search cannot finish in ~1 ms.
+TEST(Ophr, NodeBudgetIsExact) {
+  // The budget counts sub-problems, not seconds: exactly the nodes an
+  // unbudgeted solve explores return its result, one fewer gives up, on
+  // every host.
   util::Rng rng(404);
-  const auto t = random_small_table(rng, 12, 5, 3);
-  const auto r = ophr(t, {.measure = LengthMeasure::Unit,
-                          .time_budget_seconds = 0.001});
-  EXPECT_FALSE(r.has_value());
+  const auto t = random_small_table(rng, 6, 3, 2);
+  const auto free = ophr(t, {.measure = LengthMeasure::Unit});
+  ASSERT_TRUE(free.has_value());
+  ASSERT_GT(free->nodes_explored, 1u);
+  const auto enough = ophr(t, {.measure = LengthMeasure::Unit,
+                               .max_nodes = free->nodes_explored});
+  ASSERT_TRUE(enough.has_value());
+  EXPECT_EQ(enough->phc, free->phc);
+  EXPECT_EQ(enough->nodes_explored, free->nodes_explored);
+  EXPECT_EQ(enough->memo_hits, free->memo_hits);
+  for (std::size_t pos = 0; pos < t.num_rows(); ++pos) {
+    EXPECT_EQ(enough->ordering.row_at(pos), free->ordering.row_at(pos));
+    EXPECT_EQ(enough->ordering.fields_at(pos), free->ordering.fields_at(pos));
+  }
+  EXPECT_FALSE(ophr(t, {.measure = LengthMeasure::Unit,
+                        .max_nodes = free->nodes_explored - 1})
+                   .has_value());
 }
 
 TEST(Ophr, EmptyTableThrows) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "table/value.hpp"
 
 namespace llmq::table {
@@ -63,6 +65,12 @@ TEST(Table, ProjectByIndexAndName) {
   const auto q = t.project(std::vector<std::string>{"name"});
   EXPECT_EQ(q.num_cols(), 1u);
   EXPECT_EQ(q.cell(1, 0), "bob");
+}
+
+TEST(Table, ProjectRejectsNoColumns) {
+  const auto t = make_test_table();
+  EXPECT_THROW(t.project(std::vector<std::size_t>{}), std::invalid_argument);
+  EXPECT_THROW(t.project(std::vector<std::string>{}), std::invalid_argument);
 }
 
 TEST(Table, HeadClamps) {
